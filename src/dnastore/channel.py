@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls_bins import LOG_ZERO, _log_comb
-from .codebook import Codebook, max_pairwise_intersection
+from .codebook import Codebook
 from .errors import DomainError
 from .params import ScalingParams
 
@@ -163,7 +163,6 @@ class _Context:
     """Preprocessed arrays for one (immutable) codebook."""
 
     def __init__(self, cb: Codebook, precomputed_cap: int | None = None):
-        self.cb = cb
         scaling = cb.scaling
         self.M = scaling.M
         self.N = scaling.N
@@ -197,6 +196,8 @@ class _Context:
             )
 
 
+# one context per live codebook; a context must hold no reference to its
+# codebook, or the weak key never dies and the entry is never freed
 _CONTEXTS: "weakref.WeakKeyDictionary[Codebook, _Context]" = (
     weakref.WeakKeyDictionary()
 )

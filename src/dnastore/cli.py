@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 domain/hypothesis error, 3 construction shortfall,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -109,22 +111,11 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {value!r}")
 
 
-class _open_out:
-    def __init__(self, out):
-        self.out = out
-        self.fh = None
-
-    def __enter__(self):
-        if self.out in (None, "-"):
-            self.fh = sys.stdout
-            return self.fh
-        self.fh = open(self.out, "w")
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.fh is not sys.stdout:
-            self.fh.close()
-        return False
+def _open_out(out):
+    """A context manager over stdout for None or "-", else over a new file."""
+    if out in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(out, "w")
 
 
 def _finite_or_none(x: float):
@@ -362,17 +353,22 @@ def cmd_codebook(args) -> int:
 # ----------------------------------------------------------------- simulate
 
 
-def _simulation_setup(args, config, seed):
+def _simulation_codebook(args, config, seed) -> tuple[cbk.Codebook, dict]:
+    """The stored codebook named by --codebook, or one built from the build
+    options; returns (codebook, resolved build config)."""
     path = _pick(args, config, "codebook")
     if path:
-        cb = cbk.load_codebook(path)
-        build_cfg = {"codebook": path}
-    else:
-        cb, build_cfg, shortfall = _build_codebook(args, config, seed)
-        if shortfall is not None:
-            raise shortfall
+        return cbk.load_codebook(path), {"codebook": path}
+    cb, build_cfg, shortfall = _build_codebook(args, config, seed)
+    if shortfall is not None:
+        raise shortfall
+    return cb, build_cfg
+
+
+def _channel_setup(args, config, p: float):
+    """Returns (error model at sequencing error probability p, decoder
+    config, trials)."""
     kind = _pick(args, config, "model", "none")
-    p = float(_pick(args, config, "p", 0.0) or 0.0)
     pair = _pick(args, config, "attack_pair")
     if kind == "none":
         model = channel.SequencingErrorModel.none()
@@ -392,7 +388,11 @@ def _simulation_setup(args, config, seed):
         eta=float(_pick(args, config, "eta", 0.5)),
     )
     trials = int(_pick(args, config, "trials", 10_000))
-    return cb, build_cfg, model, dec, trials
+    return model, dec, trials
+
+
+def _picked_p(args, config) -> float:
+    return float(_pick(args, config, "p", 0.0) or 0.0)
 
 
 def _bound_rows(cb: cbk.Codebook, model, report) -> list[dict]:
@@ -443,7 +443,8 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     seed = int(_pick(args, config, "seed", 0))
     workers = int(_pick(args, config, "workers", 1))
-    cb, build_cfg, model, dec, trials = _simulation_setup(args, config, seed)
+    cb, build_cfg = _simulation_codebook(args, config, seed)
+    model, dec, trials = _channel_setup(args, config, _picked_p(args, config))
     report = channel.estimate_error_probability(cb, model, dec, trials, seed, workers)
     bounds = _bound_rows(cb, model, report)
     resolved = {
@@ -496,26 +497,18 @@ def cmd_sweep(args) -> int:
         raise DomainError("sweep needs --values")
     if param not in ("p", "N"):
         raise DomainError("sweep parameter must be one of: p, N")
+    cb, _ = _simulation_codebook(args, config, seed)
+    if param == "N":
+        model, dec, trials = _channel_setup(args, config, _picked_p(args, config))
     rows = []
     for value in values:
-        ns = argparse.Namespace(**vars(args))
         if param == "p":
-            ns.p = float(value)
-        cb, build_cfg, model, dec, trials = _simulation_setup(ns, config, seed)
-        if param == "N":
-            scaling = cb.scaling
-            new_scaling = ScalingParams(
-                M=scaling.M,
-                inner_size=scaling.inner_size,
-                N=int(value),
-                J=scaling.J,
-                R0=scaling.R0,
-                p_seq=scaling.p_seq,
-                beta=scaling.beta,
-                R_in=scaling.R_in,
-            )
-            cb = cbk.Codebook(
-                new_scaling, cb.codewords, cb.index_based, cb.group_size
+            model, dec, trials = _channel_setup(args, config, float(value))
+        else:
+            # replace() also carries the cached separation scan, which
+            # depends on the codewords alone
+            cb = dataclasses.replace(
+                cb, scaling=dataclasses.replace(cb.scaling, N=int(value))
             )
         report = channel.estimate_error_probability(
             cb, model, dec, trials, seed, workers

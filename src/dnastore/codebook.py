@@ -139,33 +139,50 @@ class Codebook:
 
 def max_pairwise_intersection(cb: Codebook) -> tuple[int, tuple[int, int]]:
     """Exact max multiset intersection over all unordered codeword pairs,
-    with the lexicographically smallest attaining pair."""
+    with the lexicographically smallest attaining pair.
+
+    Index-based codebooks hold one molecule per group in group order, so the
+    intersection of two codewords is the number of positions where their
+    supports agree: the scan compares rows of the J x M support matrix,
+    O(J^2 M) time and O(J M) memory.  Other codebooks take a min-scan over a
+    dense J x inner count matrix, O(J^2 inner) time and O(J inner) memory,
+    or, above _DENSE_SCAN_CELLS cells, a pure-Python merge of every pair.
+    """
     J = len(cb.codewords)
     if J < 2:
         raise DomainError("need at least 2 codewords")
     M = cb.scaling.M
     inner = cb.scaling.inner_size
-    best = -1
-    pair = (0, 1)
-    if J * inner <= _DENSE_SCAN_CELLS:
+    # later(i): intersections of codeword i with codewords i+1..J-1
+    if cb.index_based:
+        rows = np.array([cw.support for cw in cb.codewords], dtype=np.int64)
+
+        def later(i):
+            return (rows[i] == rows[i + 1 :]).sum(axis=1)
+
+    elif J * inner <= _DENSE_SCAN_CELLS:
         counts = np.zeros((J, inner), dtype=np.int32)
         for i, cw in enumerate(cb.codewords):
             for mol, mult in cw.pairs:
                 counts[i, mol] = mult
-        for i in range(J - 1):
-            vals = np.minimum(counts[i], counts[i + 1 :]).sum(axis=1)
-            row_best = int(vals.max())
-            if row_best > best:
-                best = row_best
-                pair = (i, i + 1 + int(np.argmax(vals)))
-                if best == M:
-                    break
+
+        def later(i):
+            return np.minimum(counts[i], counts[i + 1 :]).sum(axis=1)
+
     else:
-        for i in range(J - 1):
-            for j in range(i + 1, J):
-                v = cb.codewords[i].intersection_size(cb.codewords[j])
-                if v > best:
-                    best, pair = v, (i, j)
+
+        def later(i):
+            a = cb.codewords[i]
+            return np.array([a.intersection_size(b) for b in cb.codewords[i + 1 :]])
+
+    best = -1
+    pair = (0, 1)
+    for i in range(J - 1):
+        vals = later(i)
+        row_best = int(vals.max())
+        if row_best > best:
+            best = row_best
+            pair = (i, i + 1 + int(np.argmax(vals)))
             if best == M:
                 break
     return best, pair

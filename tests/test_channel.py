@@ -1,7 +1,10 @@
+import gc
 import math
+import weakref
 
 import pytest
 
+from dnastore import channel
 from dnastore.channel import (
     DecoderConfig,
     SequencingErrorModel,
@@ -202,6 +205,16 @@ class TestEstimator:
         slack = 4 * math.sqrt(0.5 / trials)
         assert p_none <= p_erasure + slack
         assert p_random <= p_attack + slack
+
+    def test_context_freed_with_its_codebook(self):
+        cb = cap_codebook(J=8)
+        estimate_error_probability(cb, SequencingErrorModel.none(), DIST, 1_000, 2)
+        ctx_ref = weakref.ref(channel._CONTEXTS[cb])
+        cb_ref = weakref.ref(cb)
+        del cb
+        gc.collect()
+        assert cb_ref() is None
+        assert ctx_ref() is None
 
 
 class TestAdversarialAttack:

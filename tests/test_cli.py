@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from dnastore import codebook as cbk
 from dnastore.cli import fig1_default_grid, main
 from dnastore.codebook import load_codebook
 
@@ -274,6 +275,27 @@ class TestSweepCommand:
         rows = read_json(out)["rows"]
         # more reads can only help a clean channel
         assert rows[1]["p_hat"] <= rows[0]["p_hat"] + 0.05
+
+    def test_codebook_loaded_once(self, tmp_path, monkeypatch):
+        cb_path = tmp_path / "cb.json"
+        assert main(
+            ["codebook", "--M", "8", "--inner-size", "32", "--N", "8",
+             "--target-J", "8", "--cap", "7", "--seed", "2", "--out", str(cb_path)]
+        ) == 0
+        loads = []
+
+        def counting_load(path):
+            loads.append(path)
+            return load_codebook(path)
+
+        monkeypatch.setattr(cbk, "load_codebook", counting_load)
+        rc = main(
+            ["sweep", "--codebook", str(cb_path), "--model", "erasure",
+             "--param", "p", "--values", "0.1", "0.2", "0.3", "--trials", "500",
+             "--out", str(tmp_path / "sweep.json")]
+        )
+        assert rc == 0
+        assert len(loads) == 1
 
     def test_needs_values(self, tmp_path):
         rc = main(["sweep", "--param", "p", "--out", str(tmp_path / "x.json")])

@@ -1,11 +1,15 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from dnastore import codebook as codebook_module
 from dnastore.codebook import (
     Codebook,
     Codeword,
@@ -211,6 +215,49 @@ class TestMaxIntersection:
         cb = Codebook(sc, cws, False)
         value, pair = max_pairwise_intersection(cb)
         assert (value, pair) == (2, (0, 1))
+
+    def test_index_duplicates_stop_at_first_full_pair(self):
+        sc = scaling(M=2, inner=4, N=4)
+        cws = tuple(
+            Codeword.from_molecules(m) for m in ([0, 2], [1, 3], [0, 3], [1, 3], [0, 2])
+        )
+        cb = Codebook(sc, cws, True, group_size=2, validate_distinct=False)
+        assert max_pairwise_intersection(cb) == (2, (0, 4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_index_agreement_scan_matches_dense_and_pairwise(self, data):
+        M = data.draw(st.integers(2, 5))
+        group = data.draw(st.integers(2, 4))
+        J = data.draw(st.integers(2, 40))
+        # codewords drawn from a small pool, so rows repeat and maxima tie
+        pool = data.draw(
+            st.lists(
+                st.lists(st.integers(0, group - 1), min_size=M, max_size=M),
+                min_size=1,
+                max_size=J,
+            )
+        )
+        picks = data.draw(
+            st.lists(st.integers(0, len(pool) - 1), min_size=J, max_size=J)
+        )
+        cws = tuple(
+            Codeword.from_molecules(g * group + pool[k][g] for g in range(M))
+            for k in picks
+        )
+        sc = scaling(M=M, inner=M * group, N=2 * M)
+        index_cb = Codebook(sc, cws, True, group_size=group, validate_distinct=False)
+        dense_cb = Codebook(sc, cws, False, validate_distinct=False)
+        got = max_pairwise_intersection(index_cb)
+        assert got == max_pairwise_intersection(dense_cb)
+        with mock.patch.object(codebook_module, "_DENSE_SCAN_CELLS", 0):
+            assert got == max_pairwise_intersection(dense_cb)
+        best, pair = -1, None
+        for i, j in itertools.combinations(range(J), 2):
+            v = cws[i].intersection_size(cws[j])
+            if v > best:
+                best, pair = v, (i, j)
+        assert got == (best, pair)
 
 
 class TestK1Bound:
