@@ -7,8 +7,14 @@ Monte-Carlo estimator splits trials into fixed-size chunks whose random
 streams depend only on (master seed, chunk index), so estimates are
 reproducible and independent of the worker count.
 
-Single-trial RNG draw order: sampling indices, then the model's per-read
-uniforms and replacement draws, then the tie-break choice.
+One kernel, ``_trials``, runs every trial: the estimator calls it on a chunk
+of messages, and ``run_trial`` / ``adversarial_attack_trial`` call it on a
+batch of one.  RNG draw order within an estimator chunk: messages, sampling
+indices, the model's per-read uniforms and replacement draws, then the
+tie-break jitter (one uniform per trial and codeword, skipped by
+unique_superset).  ``run_trial`` is given its message, so its draws start
+at the sampling indices; ``adversarial_attack_trial`` first draws its
+message coin.
 """
 
 from __future__ import annotations
@@ -109,10 +115,11 @@ class DecoderConfig:
 class TrialOutcome:
     """Everything observable about one decode attempt.
 
-    guarantee_flags is (errors_ok, coverage_ok, separation_ok): the three
-    sufficient conditions for the configured rule; when all three hold the
-    decoder provably cannot fail.  top_sample_count / rival_error_count are
-    filled for the random model only; attack_cases / attack_bad_event for
+    decoded_message is None when unique_superset finds no single
+    containing codeword.  guarantee_flags is (errors_ok, coverage_ok,
+    separation_ok): the three sufficient conditions for the configured rule;
+    when all three hold the decoder provably cannot fail.  failure_cause is
+    one of FAILURE_CAUSES.  attack_cases / attack_bad_event are filled for
     the adversarial model only (case 0 = clean read, 1 = substituted from
     the first target codeword, 2 = from the second).
     """
@@ -127,8 +134,6 @@ class TrialOutcome:
     tie_broken: bool
     attack_cases: tuple[int, ...] | None = None
     attack_bad_event: bool | None = None
-    top_sample_count: int | None = None
-    rival_error_count: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +167,7 @@ class SimulationReport:
 class _Context:
     """Preprocessed arrays for one (immutable) codebook."""
 
-    def __init__(self, cb: Codebook, precomputed_cap: int | None = None):
+    def __init__(self, cb: Codebook):
         scaling = cb.scaling
         self.M = scaling.M
         self.N = scaling.N
@@ -181,12 +186,8 @@ class _Context:
         for i, sup in enumerate(supports):
             self.support_padded[i, : len(sup)] = sup
             self.support_mask[i, : len(sup)] = True
-        if precomputed_cap is not None:
-            self.cap = precomputed_cap
-        elif self.J < 2:
-            self.cap = 0
-        else:
-            self.cap = cb.max_intersection()[0]
+        # cached on the codebook, so pool workers receive the scan with it
+        self.cap = cb.max_intersection()[0]
         try:
             self.r0 = scaling.r0
         except DomainError:
@@ -203,209 +204,27 @@ _CONTEXTS: "weakref.WeakKeyDictionary[Codebook, _Context]" = (
 )
 
 
-def _context(cb: Codebook, precomputed_cap: int | None = None) -> _Context:
+def _context(cb: Codebook) -> _Context:
     ctx = _CONTEXTS.get(cb)
     if ctx is None:
-        ctx = _Context(cb, precomputed_cap)
+        ctx = _Context(cb)
         _CONTEXTS[cb] = ctx
     return ctx
 
 
-def _apply_model_single(ctx, model, sampled, rng):
-    """Returns (reads, error_count, attack_case_vector_or_None)."""
-    n = sampled.size
-    if model.kind == "none" or model.p == 0.0:
-        cases = np.zeros(n, dtype=np.int8) if model.kind == "adversarial" else None
-        return sampled, 0, cases
-    if model.kind == "erasure":
-        mask = rng.random(n) < model.p
-        return sampled[~mask], int(mask.sum()), None
-    if model.kind == "random":
-        mask = rng.random(n) < model.p
-        repl = rng.integers(0, ctx.inner, size=n)
-        reads = np.where(mask, repl, sampled)
-        return reads, int((reads != sampled).sum()), None
-    a, b = model.attack_pair
-    u = rng.random(n)
-    cases = np.zeros(n, dtype=np.int8)
-    cases[u < model.p] = 2
-    cases[u < model.p / 2.0] = 1
-    repl_a = ctx.expanded[a][rng.integers(0, ctx.M, size=n)]
-    repl_b = ctx.expanded[b][rng.integers(0, ctx.M, size=n)]
-    reads = np.where(cases == 1, repl_a, np.where(cases == 2, repl_b, sampled))
-    return reads, int((reads != sampled).sum()), cases
+def _trials(ctx, model, dec, rng, msgs, N) -> dict:
+    """The trial kernel: N reads of each message in msgs pass through the
+    error model and the decoder, with draws taken from rng in the order the
+    module docstring gives.
 
-
-def _decode_single(ctx, reads, rule, rng):
-    """Returns (decoded_message_or_None, tie_broken)."""
-    support = ctx.support_f
-    distinct = np.unique(reads)
-    if rule == "unique_superset":
-        covered = support[:, distinct].sum(axis=1) == distinct.size
-        candidates = np.flatnonzero(covered)
-        if candidates.size == 1:
-            return int(candidates[0]), False
-        return None, False
-    if rule == "distinct_intersection":
-        scores = support[:, distinct].sum(axis=1)
-    else:  # multiplicity_count
-        counts = np.bincount(reads, minlength=ctx.inner)[: ctx.inner]
-        scores = support @ counts
-    top = scores.max()
-    tied = np.flatnonzero(scores == top)
-    if tied.size == 1:
-        return int(tied[0]), False
-    return int(tied[rng.integers(0, tied.size)]), True
-
-
-def _guarantee_flags(ctx, dec, n_reads, message, sampled, distinct_count, errors):
-    """(errors_ok, coverage_ok, separation_ok) for the configured rule."""
-    M, eps, eta = ctx.M, dec.epsilon, dec.eta
-    separation_ok = ctx.cap < (ctx.r0 + eps) * M
-    if dec.rule == "distinct_intersection":
-        errors_ok = errors <= eps * M
-        coverage_ok = distinct_count >= (ctx.r0 + 3.0 * eps) * M
-    elif dec.rule == "multiplicity_count":
-        errors_ok = errors < eps * eta * n_reads
-        threshold = eta * n_reads / M
-        counts = np.bincount(sampled, minlength=ctx.inner)
-        support = ctx.support_padded[message][ctx.support_mask[message]]
-        undersampled = int((counts[support] <= threshold).sum())
-        coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * eps) * M
-    else:  # unique_superset
-        errors_ok = errors == 0
-        coverage_ok = distinct_count > ctx.cap
-    return bool(errors_ok), bool(coverage_ok), bool(separation_ok)
-
-
-def _failure_cause(success, tie, flags):
-    if success:
-        return "none"
-    if tie:
-        return "tie"
-    errors_ok, coverage_ok, _ = flags
-    if not coverage_ok:
-        return "outage"
-    if not errors_ok:
-        return "sequencing"
-    return "collision"
-
-
-def _single_trial(ctx, message, model, dec, rng, n_reads) -> TrialOutcome:
-    sampled = ctx.expanded[message][rng.integers(0, ctx.M, size=n_reads)]
-    distinct_count = int(np.unique(sampled).size)
-    reads, errors, cases = _apply_model_single(ctx, model, sampled, rng)
-    decoded, tie = _decode_single(ctx, reads, dec.rule, rng)
-    success = decoded == message
-    flags = _guarantee_flags(ctx, dec, n_reads, message, sampled, distinct_count, errors)
-
-    attack_cases = attack_bad = None
-    if cases is not None:
-        attack_cases = tuple(int(c) for c in cases)
-        a, b = model.attack_pair
-        half = (n_reads + 1) // 2
-        if message == a:
-            attack_bad = bool((cases[:half] == 2).all() and (cases[half:] == 0).all())
-        elif message == b:
-            attack_bad = bool((cases[:half] == 0).all() and (cases[half:] == 1).all())
-        else:
-            attack_bad = False
-
-    top_count = rival_count = None
-    if model.kind == "random":
-        counts = np.bincount(sampled, minlength=ctx.inner)
-        support = ctx.support_padded[message][ctx.support_mask[message]]
-        top = np.sort(counts[support])[::-1]
-        top_count = int(top[: ctx.cap].sum())
-        err_mask = reads != sampled
-        if ctx.J > 1 and err_mask.any():
-            err_counts = np.bincount(reads[err_mask], minlength=ctx.inner)[: ctx.inner]
-            hits = ctx.support_f @ err_counts
-            hits[message] = -1.0
-            rival_count = int(hits.max())
-        else:
-            rival_count = 0
-
-    return TrialOutcome(
-        success=success,
-        true_message=int(message),
-        decoded_message=decoded,
-        distinct_sampled=distinct_count,
-        sequencing_errors=errors,
-        guarantee_flags=flags,
-        failure_cause=_failure_cause(success, tie and not success, flags),
-        tie_broken=tie,
-        attack_cases=attack_cases,
-        attack_bad_event=attack_bad,
-        top_sample_count=top_count,
-        rival_error_count=rival_count,
-    )
-
-
-def run_trial(
-    cb: Codebook,
-    message: int,
-    model: SequencingErrorModel,
-    dec: DecoderConfig,
-    seed: int,
-    n_reads: int | None = None,
-) -> TrialOutcome:
-    """One complete encode/sample/sequence/decode trial, deterministic in seed."""
-    ctx = _context(cb)
-    if not 0 <= message < ctx.J:
-        raise DomainError(f"message {message} out of range for {ctx.J} codewords")
-    if model.kind == "adversarial":
-        a, b = model.attack_pair
-        if not (0 <= a < ctx.J and 0 <= b < ctx.J):
-            raise DomainError("attack_pair out of range")
-    n = ctx.N if n_reads is None else n_reads
-    if n < 1:
-        raise DomainError("need at least one read")
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
-    return _single_trial(ctx, message, model, dec, rng, n)
-
-
-def adversarial_attack_trial(
-    cb: Codebook,
-    pair: tuple[int, int],
-    p: float,
-    N: int | None = None,
-    seed: int = 0,
-    dec: DecoderConfig | None = None,
-) -> TrialOutcome:
-    """One trial of the paired substitution attack: the message is a fair
-    pick from the pair, and each read independently stays clean with
-    probability 1-p or is replaced by a uniform (multiplicity-weighted)
-    molecule from either target codeword with probability p/2 each."""
-    ctx = _context(cb)
-    i, j = int(pair[0]), int(pair[1])
-    if not (0 <= i < ctx.J and 0 <= j < ctx.J) or i == j:
-        raise DomainError("pair must name two distinct valid messages")
-    model = SequencingErrorModel.adversarial(p, (i, j))
-    if dec is None:
-        dec = DecoderConfig("multiplicity_count")
-    n = ctx.N if N is None else N
-    if n < 1:
-        raise DomainError("need at least one read")
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
-    message = (i, j)[int(rng.integers(0, 2))]
-    return _single_trial(ctx, message, model, dec, rng, n)
-
-
-def _chunk_size(J: int) -> int:
-    return max(256, min(1 << 14, (1 << 22) // max(J, 1)))
-
-
-def _estimate_chunk(spec):
-    cb, model, dec, master_seed, chunk_index, size, cap = spec
-    ctx = _context(cb, precomputed_cap=cap)
-    M, N, inner, J = ctx.M, ctx.N, ctx.inner, ctx.J
-    key = ((master_seed & _MASK64) << 64) | chunk_index
-    rng = np.random.Generator(np.random.Philox(key=key))
-    B = size
+    Returns per-trial arrays: decoded (-1 where unique_superset finds no
+    single containing codeword), wrong, distinct, errors, errors_ok,
+    coverage_ok, tie and cause (indices into FAILURE_CAUSES); the
+    adversarial model adds cases (trials x N), pattern_i and bad."""
+    M, inner, J = ctx.M, ctx.inner, ctx.J
+    B = msgs.size
     rows = np.arange(B)
 
-    msgs = rng.integers(0, J, size=B)
     sample_idx = rng.integers(0, M, size=(B, N))
     sampled = ctx.expanded[msgs[:, None], sample_idx]
 
@@ -483,15 +302,23 @@ def _estimate_chunk(spec):
         errors_ok = errors == 0
         coverage_ok = distinct_count > ctx.cap
 
-    # same priority as the single-trial path: tie > outage > sequencing
-    cause = np.zeros(B, dtype=np.int8)  # indices into FAILURE_CAUSES
+    # failure-cause priority: tie > outage > sequencing > collision
+    cause = np.zeros(B, dtype=np.int8)
     cause[wrong] = 2
     cause[wrong & ~errors_ok] = 3
     cause[wrong & ~coverage_ok] = 1
     cause[wrong & tie] = 4
-    cause_counts = np.bincount(cause, minlength=5)
 
-    attack = None
+    out = {
+        "decoded": decoded,
+        "wrong": wrong,
+        "distinct": distinct_count,
+        "errors": errors,
+        "errors_ok": errors_ok,
+        "coverage_ok": coverage_ok,
+        "tie": tie,
+        "cause": cause,
+    }
     if cases is not None:
         a, b = model.attack_pair
         half = (N + 1) // 2
@@ -501,14 +328,106 @@ def _estimate_chunk(spec):
         pattern_ii = (cases[:, :half] == 0).all(axis=1) & (cases[:, half:] == 1).all(
             axis=1
         )
-        bad = np.where(msgs == a, pattern_i, np.where(msgs == b, pattern_ii, False))
-        attack = (
-            int(pattern_i.sum()),
-            int(bad.sum()),
-            int((bad & wrong).sum()),
+        out["cases"] = cases
+        out["pattern_i"] = pattern_i
+        out["bad"] = np.where(
+            msgs == a, pattern_i, np.where(msgs == b, pattern_ii, False)
         )
+    return out
 
-    return int(wrong.sum()), cause_counts, attack
+
+def _one_trial(ctx, message, model, dec, rng, n_reads) -> TrialOutcome:
+    """A batch of one through the kernel, as a TrialOutcome."""
+    if n_reads < 1:
+        raise DomainError("need at least one read")
+    batch = _trials(ctx, model, dec, rng, np.array([message]), n_reads)
+    t = {key: column[0] for key, column in batch.items()}
+    decoded = int(t["decoded"])
+    return TrialOutcome(
+        success=not t["wrong"],
+        true_message=int(message),
+        decoded_message=None if decoded < 0 else decoded,
+        distinct_sampled=int(t["distinct"]),
+        sequencing_errors=int(t["errors"]),
+        guarantee_flags=(
+            bool(t["errors_ok"]),
+            bool(t["coverage_ok"]),
+            bool(ctx.cap < (ctx.r0 + dec.epsilon) * ctx.M),
+        ),
+        failure_cause=FAILURE_CAUSES[t["cause"]],
+        tie_broken=bool(t["tie"]),
+        attack_cases=tuple(int(c) for c in t["cases"]) if "cases" in t else None,
+        attack_bad_event=bool(t["bad"]) if "bad" in t else None,
+    )
+
+
+def run_trial(
+    cb: Codebook,
+    message: int,
+    model: SequencingErrorModel,
+    dec: DecoderConfig,
+    seed: int,
+    n_reads: int | None = None,
+) -> TrialOutcome:
+    """One complete encode/sample/sequence/decode trial, deterministic in seed."""
+    ctx = _context(cb)
+    if not 0 <= message < ctx.J:
+        raise DomainError(f"message {message} out of range for {ctx.J} codewords")
+    if model.kind == "adversarial":
+        a, b = model.attack_pair
+        if not (0 <= a < ctx.J and 0 <= b < ctx.J):
+            raise DomainError("attack_pair out of range")
+    n = ctx.N if n_reads is None else n_reads
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
+    return _one_trial(ctx, message, model, dec, rng, n)
+
+
+def adversarial_attack_trial(
+    cb: Codebook,
+    pair: tuple[int, int],
+    p: float,
+    N: int | None = None,
+    seed: int = 0,
+    dec: DecoderConfig | None = None,
+) -> TrialOutcome:
+    """One trial of the paired substitution attack: the message is a fair
+    pick from the pair, and each read independently stays clean with
+    probability 1-p or is replaced by a uniform (multiplicity-weighted)
+    molecule from either target codeword with probability p/2 each."""
+    ctx = _context(cb)
+    i, j = int(pair[0]), int(pair[1])
+    if not (0 <= i < ctx.J and 0 <= j < ctx.J) or i == j:
+        raise DomainError("pair must name two distinct valid messages")
+    model = SequencingErrorModel.adversarial(p, (i, j))
+    if dec is None:
+        dec = DecoderConfig("multiplicity_count")
+    rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
+    message = (i, j)[int(rng.integers(0, 2))]
+    return _one_trial(ctx, message, model, dec, rng, ctx.N if N is None else N)
+
+
+def _chunk_size(J: int) -> int:
+    return max(256, min(1 << 14, (1 << 22) // max(J, 1)))
+
+
+def _estimate_chunk(spec):
+    """Error, cause and attack tallies of one chunk of uniform-message trials."""
+    cb, model, dec, master_seed, chunk_index, size = spec
+    ctx = _context(cb)
+    key = ((master_seed & _MASK64) << 64) | chunk_index
+    rng = np.random.Generator(np.random.Philox(key=key))
+    msgs = rng.integers(0, ctx.J, size=size)
+    t = _trials(ctx, model, dec, rng, msgs, ctx.N)
+    attack = None
+    if "bad" in t:
+        bad = t["bad"]
+        attack = (
+            int(t["pattern_i"].sum()),
+            int(bad.sum()),
+            int((bad & t["wrong"]).sum()),
+        )
+    cause_counts = np.bincount(t["cause"], minlength=len(FAILURE_CAUSES))
+    return int(t["wrong"].sum()), cause_counts, attack
 
 
 def estimate_error_probability(
@@ -536,7 +455,7 @@ def estimate_error_probability(
     idx = 0
     while done < trials:
         size = min(chunk, trials - done)
-        specs.append((cb, model, dec, master_seed, idx, size, ctx.cap))
+        specs.append((cb, model, dec, master_seed, idx, size))
         done += size
         idx += 1
     if workers > 1 and len(specs) > 1:
@@ -548,15 +467,11 @@ def estimate_error_probability(
     cause_counts = np.sum([p[1] for p in parts], axis=0)
     attack_stats = None
     if model.kind == "adversarial":
-        sums = [0, 0, 0]
-        for p_ in parts:
-            if p_[2] is not None:
-                for k in range(3):
-                    sums[k] += p_[2][k]
+        hits, bad, bad_errors = (sum(col) for col in zip(*(p[2] for p in parts)))
         attack_stats = {
-            "pattern_first_half_hits": sums[0],
-            "bad_events": sums[1],
-            "bad_event_errors": sums[2],
+            "pattern_first_half_hits": hits,
+            "bad_events": bad,
+            "bad_event_errors": bad_errors,
         }
     p_hat = errors / trials
     return SimulationReport(

@@ -469,18 +469,15 @@ def cmd_simulate(args) -> int:
     }
     out = args.out or "-"
     _dump_json(out, payload)
-    if args.format == "csv" and out not in (None, "-"):
-        with open(out + ".causes.csv", "w") as fh:
-            fh.write(f"# schema: {SCHEMA_PREFIX}.simulate.causes\n")
-            fh.write(
-                "# config: "
-                + json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
-            writer = csv.writer(fh)
-            writer.writerow(["cause", "count"])
-            for cause in channel.FAILURE_CAUSES:
-                writer.writerow([cause, report.failure_causes[cause]])
+    if args.format == "csv" and out != "-":
+        _write_table(
+            out + ".causes.csv",
+            "csv",
+            f"{SCHEMA_PREFIX}.simulate.causes",
+            resolved,
+            ["cause", "count"],
+            [{"cause": c, "count": n} for c, n in report.failure_causes.items()],
+        )
     return 0
 
 
@@ -563,6 +560,17 @@ def _add_build_options(sub):
     sub.add_argument("--t", type=float, help="repetition support exponent")
 
 
+def _add_channel_options(sub):
+    sub.add_argument("--codebook", help="load a stored codebook instead of building")
+    sub.add_argument("--model", choices=channel.MODEL_KINDS)
+    sub.add_argument("--p", type=float, help="sequencing error probability")
+    sub.add_argument("--attack-pair", dest="attack_pair", type=int, nargs=2)
+    sub.add_argument("--decoder", choices=channel.DECODER_RULES)
+    sub.add_argument("--epsilon", type=float)
+    sub.add_argument("--eta", type=float)
+    sub.add_argument("--trials", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnastore",
@@ -598,29 +606,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("simulate", help="Monte-Carlo error probability + bounds")
     _add_common(sub)
     _add_build_options(sub)
-    sub.add_argument("--codebook", help="load a stored codebook instead of building")
-    sub.add_argument(
-        "--model", choices=("none", "erasure", "random", "adversarial")
-    )
-    sub.add_argument("--p", type=float, help="sequencing error probability")
-    sub.add_argument("--attack-pair", dest="attack_pair", type=int, nargs=2)
-    sub.add_argument("--decoder", choices=channel.DECODER_RULES)
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--trials", type=int)
+    _add_channel_options(sub)
     sub.set_defaults(func=cmd_simulate)
 
     sub = subs.add_parser("sweep", help="repeat a simulation across one parameter")
     _add_common(sub)
     _add_build_options(sub)
-    sub.add_argument("--codebook", help="load a stored codebook instead of building")
-    sub.add_argument("--model", choices=("none", "erasure", "random", "adversarial"))
-    sub.add_argument("--p", type=float)
-    sub.add_argument("--attack-pair", dest="attack_pair", type=int, nargs=2)
-    sub.add_argument("--decoder", choices=channel.DECODER_RULES)
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--trials", type=int)
+    _add_channel_options(sub)
     sub.add_argument("--param", choices=("p", "N"))
     sub.add_argument("--values", type=float, nargs="+")
     sub.set_defaults(func=cmd_sweep)

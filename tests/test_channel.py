@@ -1,10 +1,11 @@
 import gc
 import math
+import pickle
 import weakref
 
 import pytest
 
-from dnastore import channel
+from dnastore import channel, codebook
 from dnastore.channel import (
     DecoderConfig,
     SequencingErrorModel,
@@ -106,15 +107,49 @@ class TestRunTrial:
 
     def test_erasure_counts_errors(self):
         cb = overlapping_pair_cb()
-        out = run_trial(cb, 0, SequencingErrorModel.erasure(0.6), DIST, 2)
-        assert out.sequencing_errors >= 0
+        p, n, seeds = 0.6, cb.scaling.N, 400
+        model = SequencingErrorModel.erasure(p)
+        outs = [run_trial(cb, 0, model, DIST, seed) for seed in range(seeds)]
+        errors = [out.sequencing_errors for out in outs]
+        assert all(0 <= e <= n for e in errors)
+        sigma = math.sqrt(n * p * (1 - p) / seeds)
+        assert abs(sum(errors) / seeds - p * n) <= 4 * sigma
 
-    def test_random_model_diagnostics(self):
-        cb = cap_codebook()
-        out = run_trial(cb, 1, SequencingErrorModel.random(0.3), MULT, 5)
-        assert out.top_sample_count is not None
-        assert out.rival_error_count is not None
-        assert out.rival_error_count <= out.sequencing_errors
+    def test_failure_cause_priority(self):
+        # two codewords sharing 7 of 8 molecules, so every cause turns up
+        sc = ScalingParams(M=8, inner_size=16, N=8, J=2)
+        a = Codeword.from_molecules(range(8))
+        b = Codeword.from_molecules([0, 1, 2, 3, 4, 5, 6, 8])
+        cb = Codebook(sc, (a, b), index_based=False)
+        models = [
+            SequencingErrorModel.none(),
+            SequencingErrorModel.erasure(0.3),
+            SequencingErrorModel.random(0.3),
+            SequencingErrorModel.adversarial(0.3, (0, 1)),
+        ]
+        seen = set()
+        for model in models:
+            for rule in channel.DECODER_RULES:
+                dec = DecoderConfig(rule, epsilon=0.13)
+                for seed in range(400):
+                    out = run_trial(cb, seed % 2, model, dec, seed)
+                    errors_ok, coverage_ok, _ = out.guarantee_flags
+                    if out.decoded_message is None:
+                        assert rule == "unique_superset"
+                    assert out.success == (out.decoded_message == out.true_message)
+                    if out.success:
+                        expected = "none"
+                    elif out.tie_broken:
+                        expected = "tie"
+                    elif not coverage_ok:
+                        expected = "outage"
+                    elif not errors_ok:
+                        expected = "sequencing"
+                    else:
+                        expected = "collision"
+                    assert out.failure_cause == expected, (model, rule, seed, out)
+                    seen.add(expected)
+        assert seen == set(channel.FAILURE_CAUSES)
 
     def test_message_range_checked(self):
         cb = disjoint_pair_cb()
@@ -205,6 +240,22 @@ class TestEstimator:
         slack = 4 * math.sqrt(0.5 / trials)
         assert p_none <= p_erasure + slack
         assert p_random <= p_attack + slack
+
+    def test_workers_receive_the_cached_scan(self, monkeypatch):
+        cb = cap_codebook(J=8)
+        model = SequencingErrorModel.random(0.2)
+        one = estimate_error_probability(cb, model, DIST, 40_000, 4, workers=1)
+        copy = pickle.loads(pickle.dumps(cb))
+        assert copy._max_intersection == cb.max_intersection()
+
+        def rescan(_):
+            raise AssertionError("separation scan repeated")
+
+        monkeypatch.setattr(codebook, "max_pairwise_intersection", rescan)
+        assert channel._Context(copy).cap == cb.max_intersection()[0]
+        monkeypatch.undo()
+        two = estimate_error_probability(cb, model, DIST, 40_000, 4, workers=2)
+        assert one.comparable_dict() == two.comparable_dict()
 
     def test_context_freed_with_its_codebook(self):
         cb = cap_codebook(J=8)
