@@ -15,10 +15,22 @@ tie-break jitter (one uniform per trial and codeword, skipped by
 unique_superset).  ``run_trial`` is given its message, so its draws start
 at the sampling indices; ``adversarial_attack_trial`` first draws its
 message coin.
+
+Decoder scores (per trial and codeword, the distinct observed molecules the
+codeword holds, or its reads for multiplicity_count) take one of two
+routes, which ``score_route`` picks from the shape alone.  The dense route
+multiplies the B x inner observed occupancy by the J x inner support matrix
+in float32; the sparse route looks each observed molecule up in an inverted
+index from molecule to codewords and adds the hits with one bincount, so it
+allocates nothing of size B x inner.  Both are exact: scores are integers
+no larger than N, the index counts them as integers, and float32 holds every
+integer below 2^24 (the dense route switches to float64 from there).  The
+route therefore changes no output, only time and memory.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import weakref
@@ -38,6 +50,12 @@ FAILURE_CAUSES = ("none", "outage", "collision", "sequencing", "tie")
 
 _MASK64 = (1 << 64) - 1
 _KEY_MASK = (1 << 128) - 1
+
+# score_route takes the sparse route when the dense product's cells per
+# trial (inner * J) exceed this many times the inverted-index entries the
+# kept reads touch; per-chunk timings put the crossover against the float32
+# GEMM between ratios 640 and 2048
+_SPARSE_RATIO = 1024
 
 
 @dataclass(frozen=True)
@@ -176,18 +194,33 @@ class _Context:
         if self.J < 1:
             raise DomainError("cannot simulate an empty codebook")
         self.expanded = np.stack([cw.expand() for cw in cb.codewords]).astype(np.int64)
-        self.support_f = np.zeros((self.J, self.inner))
-        supports = [np.array(cw.support, dtype=np.int64) for cw in cb.codewords]
-        for i, sup in enumerate(supports):
-            self.support_f[i, sup] = 1.0
-        smax = max(len(s) for s in supports)
-        self.support_padded = np.zeros((self.J, smax), dtype=np.int64)
-        self.support_mask = np.zeros((self.J, smax), dtype=bool)
-        for i, sup in enumerate(supports):
-            self.support_padded[i, : len(sup)] = sup
-            self.support_mask[i, : len(sup)] = True
-        # cached on the codebook, so pool workers receive the scan with it
-        self.cap = cb.max_intersection()[0]
+        sizes = np.array([len(cw.pairs) for cw in cb.codewords])
+        # J x S, S the largest support size: which support positions exist
+        self.support_mask = np.arange(sizes.max()) < sizes[:, None]
+        # J x M support position of each expanded molecule; None when no
+        # codeword repeats a molecule, as a draw's position is then its
+        # sampling index
+        self.positions = None
+        if (sizes < self.M).any():
+            self.positions = np.stack(
+                [
+                    np.repeat(np.arange(len(cw.pairs)), [m for _, m in cw.pairs])
+                    for cw in cb.codewords
+                ]
+            )
+        # inverted index (CSR): the codewords holding molecule m, ascending,
+        # are inv_idx[inv_ptr[m]:inv_ptr[m + 1]]; the erasure sentinel
+        # m = inner holds none
+        molecules = np.concatenate([cw.support for cw in cb.codewords]).astype(np.int64)
+        self.nnz = molecules.size
+        self.inv_idx = np.repeat(np.arange(self.J), sizes)[
+            np.argsort(molecules, kind="stable")
+        ]
+        self.inv_ptr = np.zeros(self.inner + 2, dtype=np.int64)
+        np.cumsum(np.bincount(molecules, minlength=self.inner + 1), out=self.inv_ptr[1:])
+        # weak, or the context would keep its own _CONTEXTS key alive; the
+        # scan is cached on the codebook, so pool workers receive it with it
+        self._cb = weakref.ref(cb)
         try:
             self.r0 = scaling.r0
         except DomainError:
@@ -195,6 +228,19 @@ class _Context:
             self.r0 = math.log(max(self.J, 2)) / (
                 (scaling.alpha - 1.0) * self.M * math.log(self.M)
             )
+
+    @property
+    def cap(self) -> int:
+        """Maximum pairwise intersection.  Only the unique_superset coverage
+        flag and run_trial's separation flag read it, so no other run scans."""
+        return self._cb().max_intersection()[0]
+
+    @functools.cached_property
+    def support_f(self) -> np.ndarray:
+        """J x inner 0/1 support matrix for the dense route."""
+        support = np.zeros((self.J, self.inner), dtype=np.float32)
+        support[np.arange(self.J)[:, None], self.expanded] = 1.0
+        return support
 
 
 # one context per live codebook; a context must hold no reference to its
@@ -212,10 +258,72 @@ def _context(cb: Codebook) -> _Context:
     return ctx
 
 
-def _trials(ctx, model, dec, rng, msgs, N) -> dict:
+def score_route(
+    cb: Codebook, model: SequencingErrorModel, n_reads: int | None = None
+) -> tuple[str, str]:
+    """(route, score dtype) of the decoder scores for cb under model with
+    n_reads reads per trial (default N); a rule on the shape alone.
+
+    A trial keeps about n_reads reads (n_reads (1-p) under erasures), and
+    each read touches nnz/inner inverted-index entries on average, against
+    inner * J cells of the dense product.  "sparse" sums the index entries
+    into int64 counts; "dense" multiplies by the support matrix in float32,
+    or in float64 from 2^24 reads on, where float32 stops holding every
+    integer score exactly."""
+    ctx = _context(cb)
+    n = ctx.N if n_reads is None else n_reads
+    kept = n * (1.0 - model.p) if model.kind == "erasure" else n
+    if ctx.inner * ctx.J > _SPARSE_RATIO * kept * ctx.nnz / ctx.inner:
+        return "sparse", "int64"
+    return "dense", "float32" if n < 1 << 24 else "float64"
+
+
+def _scores(ctx, rule, reads, scoring):
+    """B x J decoder scores of reads (B x N, the sentinel inner marks an
+    erasure): per codeword, the distinct observed molecules it holds or,
+    for multiplicity_count, the reads it holds.  Also returns the distinct
+    observed count per trial (None for multiplicity_count)."""
+    route, dtype = scoring
+    inner, J = ctx.inner, ctx.J
+    B = reads.shape[0]
+    rows = np.arange(B)
+    sizes = None
+    if route == "dense":
+        flat = reads + (rows * (inner + 1))[:, None]
+        if rule == "multiplicity_count":
+            observed = np.bincount(flat.ravel(), minlength=B * (inner + 1))
+        else:
+            observed = np.zeros(B * (inner + 1), dtype=bool)
+            observed[flat] = True
+        observed = observed.reshape(B, inner + 1)[:, :inner]
+        if rule != "multiplicity_count":
+            sizes = observed.sum(axis=1)
+        support = ctx.support_f.astype(dtype, copy=False)
+        return observed.astype(dtype) @ support.T, sizes
+    if rule == "multiplicity_count":
+        mols = reads.ravel()
+        owner = np.repeat(rows, reads.shape[1])
+    else:
+        ordered = np.sort(reads, axis=1)
+        first = ordered != inner
+        first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+        sizes = first.sum(axis=1)
+        owner, col = np.nonzero(first)
+        mols = ordered[owner, col]
+    start = ctx.inv_ptr[mols]
+    lens = ctx.inv_ptr[mols + 1] - start
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    # each molecule's index range inv_ptr[m]:inv_ptr[m + 1], laid end to end
+    entries = np.arange(total) + np.repeat(start - ends + lens, lens)
+    keys = np.repeat(owner * J, lens) + ctx.inv_idx[entries]
+    return np.bincount(keys, minlength=B * J).reshape(B, J), sizes
+
+
+def _trials(ctx, model, dec, rng, msgs, N, scoring) -> dict:
     """The trial kernel: N reads of each message in msgs pass through the
     error model and the decoder, with draws taken from rng in the order the
-    module docstring gives.
+    module docstring gives; scoring is score_route's (route, dtype).
 
     Returns per-trial arrays: decoded (-1 where unique_superset finds no
     single containing codeword), wrong, distinct, errors, errors_ok,
@@ -228,8 +336,14 @@ def _trials(ctx, model, dec, rng, msgs, N) -> dict:
     sample_idx = rng.integers(0, M, size=(B, N))
     sampled = ctx.expanded[msgs[:, None], sample_idx]
 
-    occ0 = np.zeros((B, inner), dtype=bool)
-    occ0[rows[:, None], sampled] = True
+    # clean occupancy over the B x S support positions of the sent codewords
+    if ctx.positions is None:
+        positions = sample_idx
+    else:
+        positions = ctx.positions[msgs[:, None], sample_idx]
+    S = ctx.support_mask.shape[1]
+    occ0 = np.zeros((B, S), dtype=bool)
+    occ0[rows[:, None], positions] = True
     distinct_count = occ0.sum(axis=1)
 
     cases = None
@@ -240,7 +354,7 @@ def _trials(ctx, model, dec, rng, msgs, N) -> dict:
         errors = np.zeros(B, dtype=np.int64)
     elif model.kind == "erasure":
         mask = rng.random((B, N)) < model.p
-        reads = np.where(mask, inner, sampled)  # sentinel column marks erasures
+        reads = np.where(mask, inner, sampled)  # sentinel molecule marks erasures
         errors = mask.sum(axis=1)
     elif model.kind == "random":
         mask = rng.random((B, N)) < model.p
@@ -258,26 +372,13 @@ def _trials(ctx, model, dec, rng, msgs, N) -> dict:
         reads = np.where(cases == 1, repl_a, np.where(cases == 2, repl_b, sampled))
         errors = (reads != sampled).sum(axis=1)
 
-    occ = np.zeros((B, inner + 1), dtype=bool)
-    occ[rows[:, None], reads] = True
-    observed = occ[:, :inner]
-
+    scores, observed_sizes = _scores(ctx, dec.rule, reads, scoring)
     tie = np.zeros(B, dtype=bool)
     if dec.rule == "unique_superset":
-        observed_sizes = observed.sum(axis=1)
-        cover_counts = observed.astype(np.float64) @ ctx.support_f.T
-        covering = cover_counts == observed_sizes[:, None]
+        covering = scores == observed_sizes[:, None]
         n_candidates = covering.sum(axis=1)
         decoded = np.where(n_candidates == 1, np.argmax(covering, axis=1), -1)
     else:
-        if dec.rule == "distinct_intersection":
-            scores = observed.astype(np.float64) @ ctx.support_f.T
-        else:
-            flat = reads + (rows * (inner + 1))[:, None]
-            counts = np.bincount(flat.ravel(), minlength=B * (inner + 1)).reshape(
-                B, inner + 1
-            )
-            scores = counts[:, :inner].astype(np.float64) @ ctx.support_f.T
         top = scores.max(axis=1)
         tie = (scores == top[:, None]).sum(axis=1) > 1
         # integer scores + sub-unit jitter: breaks ties uniformly, preserves order
@@ -293,10 +394,9 @@ def _trials(ctx, model, dec, rng, msgs, N) -> dict:
     elif dec.rule == "multiplicity_count":
         errors_ok = errors < eps * eta * N
         threshold = eta * N / M
-        flat0 = sampled + (rows * inner)[:, None]
-        counts0 = np.bincount(flat0.ravel(), minlength=B * inner).reshape(B, inner)
-        gathered = counts0[rows[:, None], ctx.support_padded[msgs]]
-        undersampled = ((gathered <= threshold) & ctx.support_mask[msgs]).sum(axis=1)
+        flat0 = positions + (rows * S)[:, None]
+        counts0 = np.bincount(flat0.ravel(), minlength=B * S).reshape(B, S)
+        undersampled = ((counts0 <= threshold) & ctx.support_mask[msgs]).sum(axis=1)
         coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * eps) * M
     else:
         errors_ok = errors == 0
@@ -336,11 +436,13 @@ def _trials(ctx, model, dec, rng, msgs, N) -> dict:
     return out
 
 
-def _one_trial(ctx, message, model, dec, rng, n_reads) -> TrialOutcome:
+def _one_trial(cb, message, model, dec, rng, n_reads) -> TrialOutcome:
     """A batch of one through the kernel, as a TrialOutcome."""
     if n_reads < 1:
         raise DomainError("need at least one read")
-    batch = _trials(ctx, model, dec, rng, np.array([message]), n_reads)
+    ctx = _context(cb)
+    scoring = score_route(cb, model, n_reads)
+    batch = _trials(ctx, model, dec, rng, np.array([message]), n_reads, scoring)
     t = {key: column[0] for key, column in batch.items()}
     decoded = int(t["decoded"])
     return TrialOutcome(
@@ -379,7 +481,7 @@ def run_trial(
             raise DomainError("attack_pair out of range")
     n = ctx.N if n_reads is None else n_reads
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
-    return _one_trial(ctx, message, model, dec, rng, n)
+    return _one_trial(cb, message, model, dec, rng, n)
 
 
 def adversarial_attack_trial(
@@ -403,7 +505,7 @@ def adversarial_attack_trial(
         dec = DecoderConfig("multiplicity_count")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
     message = (i, j)[int(rng.integers(0, 2))]
-    return _one_trial(ctx, message, model, dec, rng, ctx.N if N is None else N)
+    return _one_trial(cb, message, model, dec, rng, ctx.N if N is None else N)
 
 
 def _chunk_size(J: int) -> int:
@@ -412,12 +514,12 @@ def _chunk_size(J: int) -> int:
 
 def _estimate_chunk(spec):
     """Error, cause and attack tallies of one chunk of uniform-message trials."""
-    cb, model, dec, master_seed, chunk_index, size = spec
+    cb, model, dec, master_seed, chunk_index, size, scoring = spec
     ctx = _context(cb)
     key = ((master_seed & _MASK64) << 64) | chunk_index
     rng = np.random.Generator(np.random.Philox(key=key))
     msgs = rng.integers(0, ctx.J, size=size)
-    t = _trials(ctx, model, dec, rng, msgs, ctx.N)
+    t = _trials(ctx, model, dec, rng, msgs, ctx.N, scoring)
     attack = None
     if "bad" in t:
         bad = t["bad"]
@@ -449,13 +551,16 @@ def estimate_error_probability(
         if not (0 <= a < ctx.J and 0 <= b < ctx.J):
             raise DomainError("attack_pair out of range")
     start = time.perf_counter()
+    if dec.rule == "unique_superset":
+        cb.max_intersection()  # scan once; workers receive it with the codebook
     chunk = _chunk_size(ctx.J)
+    scoring = score_route(cb, model)
     specs = []
     done = 0
     idx = 0
     while done < trials:
         size = min(chunk, trials - done)
-        specs.append((cb, model, dec, master_seed, idx, size))
+        specs.append((cb, model, dec, master_seed, idx, size, scoring))
         done += size
         idx += 1
     if workers > 1 and len(specs) > 1:

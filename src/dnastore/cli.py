@@ -69,8 +69,9 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write_table(out, fmt, schema, config, header, rows, extra=None):
-    """rows: list of dicts keyed by header entries."""
+def _write_table(out, fmt, schema, config, header, rows, extra=None, metadata=None):
+    """rows: list of dicts keyed by header entries; metadata joins the JSON
+    metadata block (CSV tables have none)."""
     if fmt == "csv":
         with _open_out(out) as fh:
             fh.write(f"# schema: {schema}\n")
@@ -87,7 +88,7 @@ def _write_table(out, fmt, schema, config, header, rows, extra=None):
         payload = {
             "schema": schema,
             "config": config,
-            "metadata": {"generated_at": _timestamp()},
+            "metadata": {"generated_at": _timestamp(), **(metadata or {})},
             "rows": rows,
         }
         if extra:
@@ -399,7 +400,7 @@ def _bound_rows(cb: cbk.Codebook, model, report) -> list[dict]:
     scaling = cb.scaling
     M, alpha = scaling.M, scaling.alpha
     j_eff = scaling.J if scaling.J is not None else 2 * len(cb)
-    K1 = cb.max_intersection()[0] if len(cb) >= 2 else 0
+    K1 = cb.max_intersection()[0]
     try:
         K2 = cbk.k2_lower_bound(M, j_eff, alpha)
     except DomainError:
@@ -446,6 +447,7 @@ def cmd_simulate(args) -> int:
     cb, build_cfg = _simulation_codebook(args, config, seed)
     model, dec, trials = _channel_setup(args, config, _picked_p(args, config))
     report = channel.estimate_error_probability(cb, model, dec, trials, seed, workers)
+    route, dtype = channel.score_route(cb, model)
     bounds = _bound_rows(cb, model, report)
     resolved = {
         "command": "simulate",
@@ -463,7 +465,12 @@ def cmd_simulate(args) -> int:
     payload = {
         "schema": f"{SCHEMA_PREFIX}.simulate.report",
         "config": resolved,
-        "metadata": {"generated_at": _timestamp(), "wall_time_s": report.wall_time_s},
+        "metadata": {
+            "generated_at": _timestamp(),
+            "wall_time_s": report.wall_time_s,
+            "score_route": route,
+            "score_dtype": dtype,
+        },
         "report": report.comparable_dict(),
         "bounds": bounds,
     }
@@ -498,6 +505,7 @@ def cmd_sweep(args) -> int:
     if param == "N":
         model, dec, trials = _channel_setup(args, config, _picked_p(args, config))
     rows = []
+    scoring = []
     for value in values:
         if param == "p":
             model, dec, trials = _channel_setup(args, config, float(value))
@@ -510,6 +518,7 @@ def cmd_sweep(args) -> int:
         report = channel.estimate_error_probability(
             cb, model, dec, trials, seed, workers
         )
+        scoring.append(channel.score_route(cb, model))
         rows.append(
             {
                 "param": param,
@@ -534,6 +543,10 @@ def cmd_sweep(args) -> int:
         resolved,
         ["param", "value", "trials", "errors", "p_hat", "std_err"],
         rows,
+        metadata={
+            "score_route": [route for route, _ in scoring],
+            "score_dtype": [dtype for _, dtype in scoring],
+        },
     )
     return 0
 

@@ -200,8 +200,10 @@ def greedy_index_codebook(
     an accepted codeword exceeds intersection_cap.
 
     Duplicates of accepted codewords are always rejected, so the effective
-    cap is min(intersection_cap, M-1).  Raises ShortfallError carrying the
-    partial codebook if the budget runs out first.
+    cap is min(intersection_cap, M-1).  The codebook carries the exact
+    max_intersection() result, kept while accepting codewords, so it is
+    never rescanned.  Raises ShortfallError carrying the partial codebook if
+    the budget runs out first.
     """
     M, inner = scaling.M, scaling.inner_size
     if inner % M != 0:
@@ -220,18 +222,31 @@ def greedy_index_codebook(
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     chosen = np.empty((target_J, M), dtype=np.int64)
     n = 0
+    # the separation scan's result, kept as codewords are accepted: the
+    # largest agreement and its lexicographically smallest pair
+    best, pair = -1, (0, 1)
     for _ in range(attempt_budget):
         cand = offsets + rng.integers(0, group_size, size=M)
         if n:
             agree = (chosen[:n] == cand).sum(axis=1)
-            if int(agree.max()) > effective_cap:
+            top = int(agree.max())
+            if top > effective_cap:
                 continue
+            first = int(np.argmax(agree))
+            if top > best or (top == best and first < pair[0]):
+                best, pair = top, (first, n)
         chosen[n] = cand
         n += 1
         if n == target_J:
             break
     codewords = tuple(Codeword.from_molecules(row) for row in chosen[:n])
-    cb = Codebook(scaling, codewords, index_based=True, group_size=group_size)
+    cb = Codebook(
+        scaling,
+        codewords,
+        index_based=True,
+        group_size=group_size,
+        _max_intersection=(best, pair) if n >= 2 else None,
+    )
     if n < target_J:
         raise ShortfallError(
             f"greedy construction reached {n} of {target_J} codewords within "

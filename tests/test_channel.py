@@ -3,7 +3,10 @@ import math
 import pickle
 import weakref
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnastore import channel, codebook
 from dnastore.channel import (
@@ -266,6 +269,183 @@ class TestEstimator:
         gc.collect()
         assert cb_ref() is None
         assert ctx_ref() is None
+
+
+ROUTES = (("dense", "float64"), ("dense", "float32"), ("sparse", "int64"))
+
+
+def route_models(J):
+    models = [
+        SequencingErrorModel.none(),
+        SequencingErrorModel.erasure(0.5),
+        SequencingErrorModel.erasure(0.95),
+        SequencingErrorModel.random(0.5),
+    ]
+    if J >= 2:
+        models.append(SequencingErrorModel.adversarial(0.4, (0, J - 1)))
+    return models
+
+
+@st.composite
+def small_codebooks(draw):
+    """Index codebooks, or multiset codebooks whose codewords draw molecules
+    from narrow windows, so multiplicities exceed 1 and supports differ in
+    size; codewords may repeat, so scores tie."""
+    M = draw(st.integers(2, 6))
+    J = draw(st.integers(1, 6))
+    N = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        group = draw(st.integers(2, 4))
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(0, group - 1), min_size=M, max_size=M),
+                min_size=J,
+                max_size=J,
+            )
+        )
+        sc = ScalingParams(M=M, inner_size=M * group, N=N, J=J)
+        cws = tuple(
+            Codeword.from_molecules(g * group + row[g] for g in range(M)) for row in rows
+        )
+        return Codebook(sc, cws, True, group_size=group, validate_distinct=False)
+    inner = draw(st.integers(M + 1, 3 * M))
+    cws = []
+    for _ in range(J):
+        width = draw(st.integers(1, M))
+        low = draw(st.integers(0, inner - width))
+        mols = draw(
+            st.lists(st.integers(low, low + width - 1), min_size=M, max_size=M)
+        )
+        cws.append(Codeword.from_molecules(mols))
+    sc = ScalingParams(M=M, inner_size=inner, N=N, J=J)
+    return Codebook(sc, tuple(cws), False, validate_distinct=False)
+
+
+class TestScoreRoutes:
+    """The sparse (inverted index) and dense (float32 / float64 GEMM) score
+    routes against each other and against plain loops."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cb=small_codebooks(), B=st.integers(1, 10), data=st.data())
+    def test_scores_match_loops(self, cb, B, data):
+        ctx = channel._Context(cb)
+        N = cb.scaling.N
+        # molecule ids up to the erasure sentinel; some rows entirely erased
+        reads = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(st.integers(0, ctx.inner), min_size=N, max_size=N),
+                    min_size=B,
+                    max_size=B,
+                )
+            )
+        )
+        reads[data.draw(st.lists(st.integers(0, B - 1), max_size=2))] = ctx.inner
+        supports = [set(cw.support) for cw in cb.codewords]
+        observed = [set(row.tolist()) - {ctx.inner} for row in reads]
+        for rule in channel.DECODER_RULES:
+            if rule == "multiplicity_count":
+                expect = [[sum(m in sup for m in row) for sup in supports] for row in reads]
+            else:
+                expect = [[len(obs & sup) for sup in supports] for obs in observed]
+            for scoring in ROUTES:
+                scores, sizes = channel._scores(ctx, rule, reads, scoring)
+                assert scores.dtype == np.dtype(scoring[1])
+                assert scores.tolist() == expect, (rule, scoring)
+                if rule != "multiplicity_count":
+                    assert sizes.tolist() == [len(obs) for obs in observed]
+
+    @settings(max_examples=80, deadline=None)
+    @given(cb=small_codebooks(), B=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_kernel_outputs_match_across_routes(self, cb, B, seed):
+        ctx = channel._Context(cb)
+        N = cb.scaling.N
+        for model in route_models(ctx.J):
+            for rule in channel.DECODER_RULES:
+                dec = DecoderConfig(rule, epsilon=0.13)
+                runs = []
+                for scoring in ROUTES:
+                    rng = np.random.default_rng(seed)
+                    msgs = rng.integers(0, ctx.J, size=B)
+                    runs.append(channel._trials(ctx, model, dec, rng, msgs, N, scoring))
+                for other in runs[1:]:
+                    assert other.keys() == runs[0].keys()
+                    for key, column in runs[0].items():
+                        assert np.array_equal(column, other[key]), (model, rule, key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cb=small_codebooks(), B=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_support_occupancy_matches_molecule_occupancy(self, cb, B, seed):
+        # the B x inner molecule occupancy and coverage gather the support
+        # positions replace
+        ctx = channel._Context(cb)
+        M, N, inner = ctx.M, cb.scaling.N, ctx.inner
+        dec = DecoderConfig("multiplicity_count", epsilon=0.13)
+        rng = np.random.default_rng(seed)
+        msgs = rng.integers(0, ctx.J, size=B)
+        out = channel._trials(
+            ctx, SequencingErrorModel.none(), dec, rng, msgs, N, ROUTES[1]
+        )
+        rng = np.random.default_rng(seed)
+        rng.integers(0, ctx.J, size=B)
+        sampled = ctx.expanded[msgs[:, None], rng.integers(0, M, size=(B, N))]
+        rows = np.arange(B)
+        occ0 = np.zeros((B, inner), dtype=bool)
+        occ0[rows[:, None], sampled] = True
+        assert out["distinct"].tolist() == occ0.sum(axis=1).tolist()
+        smax = max(len(cw.pairs) for cw in cb.codewords)
+        padded = np.zeros((ctx.J, smax), dtype=np.int64)
+        mask = np.zeros((ctx.J, smax), dtype=bool)
+        for i, cw in enumerate(cb.codewords):
+            padded[i, : len(cw.pairs)] = cw.support
+            mask[i, : len(cw.pairs)] = True
+        counts0 = np.bincount(
+            (sampled + (rows * inner)[:, None]).ravel(), minlength=B * inner
+        ).reshape(B, inner)
+        gathered = counts0[rows[:, None], padded[msgs]]
+        undersampled = ((gathered <= dec.eta * N / M) & mask[msgs]).sum(axis=1)
+        coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * dec.epsilon) * M
+        assert out["coverage_ok"].tolist() == coverage_ok.tolist()
+
+    @pytest.mark.parametrize("scoring", ROUTES)
+    def test_forced_route_keeps_single_trials(self, scoring, monkeypatch):
+        codebooks = [
+            cap_codebook(J=8),
+            codebook.repetition_codebook(
+                ScalingParams(M=16, inner_size=60, N=24, J=8), 0.6, 8, seed=3
+            ),
+        ]
+        decoders = [DecoderConfig(rule, epsilon=0.13) for rule in channel.DECODER_RULES]
+        cases = [
+            (cb, model, dec, seed)
+            for cb in codebooks
+            for model in route_models(len(cb))
+            for dec in decoders
+            for seed in range(5)
+        ]
+        expect = [run_trial(cb, seed % len(cb), m, d, seed) for cb, m, d, seed in cases]
+        monkeypatch.setattr(channel, "score_route", lambda *args: scoring)
+        got = [run_trial(cb, seed % len(cb), m, d, seed) for cb, m, d, seed in cases]
+        assert got == expect
+
+    def test_route_follows_shape(self):
+        wide = greedy_index_codebook(
+            ScalingParams(M=8, inner_size=1024, N=16, J=64), 3, 64, 1, 10_000
+        )
+        assert channel.score_route(wide, SequencingErrorModel.random(0.5)) == (
+            "sparse",
+            "int64",
+        )
+        # the criterion-11 shape
+        narrow = greedy_index_codebook(
+            ScalingParams(M=16, inner_size=64, N=32, J=64), 12, 64, 20, 100_000
+        )
+        for model in route_models(len(narrow)):
+            assert channel.score_route(narrow, model) == ("dense", "float32")
+        # float32 stops holding every integer score from 2^24 reads on
+        assert channel.score_route(
+            narrow, SequencingErrorModel.none(), n_reads=1 << 24
+        ) == ("dense", "float64")
 
 
 class TestAdversarialAttack:

@@ -201,6 +201,22 @@ class TestSimulateCommand:
         assert a_cfg.pop("workers") == 1 and c_cfg.pop("workers") == 2
         assert a_cfg == c_cfg
 
+    def test_score_route_in_metadata(self, tmp_path):
+        narrow = self.build_cb(tmp_path)
+        wide = tmp_path / "wide.json"
+        assert main(
+            ["codebook", "--M", "8", "--inner-size", "1024", "--N", "16",
+             "--target-J", "64", "--cap", "3", "--seed", "1", "--out", str(wide)]
+        ) == 0
+        for cb, route, dtype in ((narrow, "dense", "float32"), (wide, "sparse", "int64")):
+            out = tmp_path / "sim.json"
+            assert main(
+                ["simulate", "--codebook", str(cb), "--model", "random", "--p", "0.5",
+                 "--trials", "500", "--out", str(out)]
+            ) == 0
+            meta = read_json(out)["metadata"]
+            assert (meta["score_route"], meta["score_dtype"]) == (route, dtype)
+
     def test_causes_csv_written(self, tmp_path):
         cb = self.build_cb(tmp_path)
         out = tmp_path / "sim.json"
@@ -275,6 +291,23 @@ class TestSweepCommand:
         rows = read_json(out)["rows"]
         # more reads can only help a clean channel
         assert rows[1]["p_hat"] <= rows[0]["p_hat"] + 0.05
+
+    def test_score_route_per_value(self, tmp_path):
+        cb_path = tmp_path / "cb.json"
+        assert main(
+            ["codebook", "--M", "8", "--inner-size", "32", "--N", "12",
+             "--target-J", "16", "--cap", "6", "--seed", "5", "--out", str(cb_path)]
+        ) == 0
+        out = tmp_path / "sweep.json"
+        # so few reads survive p = 0.995 erasures that the index beats the GEMM
+        assert main(
+            ["sweep", "--codebook", str(cb_path), "--model", "erasure",
+             "--param", "p", "--values", "0.5", "0.995", "--trials", "500",
+             "--out", str(out)]
+        ) == 0
+        meta = read_json(out)["metadata"]
+        assert meta["score_route"] == ["dense", "sparse"]
+        assert meta["score_dtype"] == ["float32", "int64"]
 
     def test_codebook_loaded_once(self, tmp_path, monkeypatch):
         cb_path = tmp_path / "cb.json"

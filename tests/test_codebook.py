@@ -125,6 +125,25 @@ class TestGreedyConstruction:
         assert len(cb) == 256
         assert max_pairwise_intersection(cb)[0] <= 5
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M=st.integers(2, 5),
+        group=st.integers(2, 4),
+        cap=st.integers(0, 5),
+        target=st.integers(1, 30),
+        seed=st.integers(0, 1000),
+    )
+    def test_build_caches_the_scan(self, M, group, cap, target, seed):
+        sc = scaling(M=M, inner=M * group, N=2 * M)
+        try:
+            cb = greedy_index_codebook(sc, cap, target, seed, attempt_budget=300)
+        except ShortfallError as exc:
+            cb = exc.partial
+        if len(cb) < 2:
+            assert cb._max_intersection is None
+        else:
+            assert cb._max_intersection == max_pairwise_intersection(cb)
+
 
 class TestRepetitionConstruction:
     def test_multiplicities_sum_to_m(self):
