@@ -24,8 +24,8 @@ in float32; the sparse route looks each observed molecule up in an inverted
 index from molecule to codewords and adds the hits with one bincount, so it
 allocates nothing of size B x inner.  Both are exact: scores are integers
 no larger than N, the index counts them as integers, and float32 holds every
-integer below 2^24 (the dense route switches to float64 from there).  The
-route therefore changes no output, only time and memory.
+integer below 2^24 (from 2^24 reads on, score_route always picks the sparse
+route).  The route therefore changes no output, only time and memory.
 """
 
 from __future__ import annotations
@@ -199,7 +199,8 @@ class _Context:
         self.support_mask = np.arange(sizes.max()) < sizes[:, None]
         # J x M support position of each expanded molecule; None when no
         # codeword repeats a molecule, as a draw's position is then its
-        # sampling index
+        # sampling index (skipping the B x N gather saves about 5 % of a
+        # criterion-11 chunk)
         self.positions = None
         if (sizes < self.M).any():
             self.positions = np.stack(
@@ -217,7 +218,8 @@ class _Context:
             np.argsort(molecules, kind="stable")
         ]
         self.inv_ptr = np.zeros(self.inner + 2, dtype=np.int64)
-        np.cumsum(np.bincount(molecules, minlength=self.inner + 1), out=self.inv_ptr[1:])
+        counts = np.bincount(molecules, minlength=self.inner + 1)
+        np.cumsum(counts, out=self.inv_ptr[1:])
         # weak, or the context would keep its own _CONTEXTS key alive; the
         # scan is cached on the codebook, so pool workers receive it with it
         self._cb = weakref.ref(cb)
@@ -260,30 +262,30 @@ def _context(cb: Codebook) -> _Context:
 
 def score_route(
     cb: Codebook, model: SequencingErrorModel, n_reads: int | None = None
-) -> tuple[str, str]:
-    """(route, score dtype) of the decoder scores for cb under model with
-    n_reads reads per trial (default N); a rule on the shape alone.
+) -> str:
+    """Route of the decoder scores for cb under model with n_reads reads
+    per trial (default N); a rule on the shape alone.
 
     A trial keeps about n_reads reads (n_reads (1-p) under erasures), and
     each read touches nnz/inner inverted-index entries on average, against
     inner * J cells of the dense product.  "sparse" sums the index entries
     into int64 counts; "dense" multiplies by the support matrix in float32,
-    or in float64 from 2^24 reads on, where float32 stops holding every
-    integer score exactly."""
+    which holds every integer score exactly only below 2^24 reads, so from
+    there on the route is always sparse."""
     ctx = _context(cb)
     n = ctx.N if n_reads is None else n_reads
     kept = n * (1.0 - model.p) if model.kind == "erasure" else n
-    if ctx.inner * ctx.J > _SPARSE_RATIO * kept * ctx.nnz / ctx.inner:
-        return "sparse", "int64"
-    return "dense", "float32" if n < 1 << 24 else "float64"
+    if n >= 1 << 24:
+        return "sparse"
+    index_entries = kept * ctx.nnz / ctx.inner
+    return "sparse" if ctx.inner * ctx.J > _SPARSE_RATIO * index_entries else "dense"
 
 
-def _scores(ctx, rule, reads, scoring):
+def _scores(ctx, rule, reads, route):
     """B x J decoder scores of reads (B x N, the sentinel inner marks an
     erasure): per codeword, the distinct observed molecules it holds or,
     for multiplicity_count, the reads it holds.  Also returns the distinct
     observed count per trial (None for multiplicity_count)."""
-    route, dtype = scoring
     inner, J = ctx.inner, ctx.J
     B = reads.shape[0]
     rows = np.arange(B)
@@ -298,8 +300,7 @@ def _scores(ctx, rule, reads, scoring):
         observed = observed.reshape(B, inner + 1)[:, :inner]
         if rule != "multiplicity_count":
             sizes = observed.sum(axis=1)
-        support = ctx.support_f.astype(dtype, copy=False)
-        return observed.astype(dtype) @ support.T, sizes
+        return observed.astype(np.float32) @ ctx.support_f.T, sizes
     if rule == "multiplicity_count":
         mols = reads.ravel()
         owner = np.repeat(rows, reads.shape[1])
@@ -320,10 +321,10 @@ def _scores(ctx, rule, reads, scoring):
     return np.bincount(keys, minlength=B * J).reshape(B, J), sizes
 
 
-def _trials(ctx, model, dec, rng, msgs, N, scoring) -> dict:
+def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     """The trial kernel: N reads of each message in msgs pass through the
     error model and the decoder, with draws taken from rng in the order the
-    module docstring gives; scoring is score_route's (route, dtype).
+    module docstring gives; route is score_route's pick.
 
     Returns per-trial arrays: decoded (-1 where unique_superset finds no
     single containing codeword), wrong, distinct, errors, errors_ok,
@@ -372,7 +373,7 @@ def _trials(ctx, model, dec, rng, msgs, N, scoring) -> dict:
         reads = np.where(cases == 1, repl_a, np.where(cases == 2, repl_b, sampled))
         errors = (reads != sampled).sum(axis=1)
 
-    scores, observed_sizes = _scores(ctx, dec.rule, reads, scoring)
+    scores, observed_sizes = _scores(ctx, dec.rule, reads, route)
     tie = np.zeros(B, dtype=bool)
     if dec.rule == "unique_superset":
         covering = scores == observed_sizes[:, None]
@@ -441,8 +442,8 @@ def _one_trial(cb, message, model, dec, rng, n_reads) -> TrialOutcome:
     if n_reads < 1:
         raise DomainError("need at least one read")
     ctx = _context(cb)
-    scoring = score_route(cb, model, n_reads)
-    batch = _trials(ctx, model, dec, rng, np.array([message]), n_reads, scoring)
+    route = score_route(cb, model, n_reads)
+    batch = _trials(ctx, model, dec, rng, np.array([message]), n_reads, route)
     t = {key: column[0] for key, column in batch.items()}
     decoded = int(t["decoded"])
     return TrialOutcome(
@@ -514,12 +515,12 @@ def _chunk_size(J: int) -> int:
 
 def _estimate_chunk(spec):
     """Error, cause and attack tallies of one chunk of uniform-message trials."""
-    cb, model, dec, master_seed, chunk_index, size, scoring = spec
+    cb, model, dec, master_seed, chunk_index, size, route = spec
     ctx = _context(cb)
     key = ((master_seed & _MASK64) << 64) | chunk_index
     rng = np.random.Generator(np.random.Philox(key=key))
     msgs = rng.integers(0, ctx.J, size=size)
-    t = _trials(ctx, model, dec, rng, msgs, ctx.N, scoring)
+    t = _trials(ctx, model, dec, rng, msgs, ctx.N, route)
     attack = None
     if "bad" in t:
         bad = t["bad"]
@@ -554,13 +555,13 @@ def estimate_error_probability(
     if dec.rule == "unique_superset":
         cb.max_intersection()  # scan once; workers receive it with the codebook
     chunk = _chunk_size(ctx.J)
-    scoring = score_route(cb, model)
+    route = score_route(cb, model)
     specs = []
     done = 0
     idx = 0
     while done < trials:
         size = min(chunk, trials - done)
-        specs.append((cb, model, dec, master_seed, idx, size, scoring))
+        specs.append((cb, model, dec, master_seed, idx, size, route))
         done += size
         idx += 1
     if workers > 1 and len(specs) > 1:

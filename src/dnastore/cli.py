@@ -447,7 +447,7 @@ def cmd_simulate(args) -> int:
     cb, build_cfg = _simulation_codebook(args, config, seed)
     model, dec, trials = _channel_setup(args, config, _picked_p(args, config))
     report = channel.estimate_error_probability(cb, model, dec, trials, seed, workers)
-    route, dtype = channel.score_route(cb, model)
+    route = channel.score_route(cb, model)
     bounds = _bound_rows(cb, model, report)
     resolved = {
         "command": "simulate",
@@ -469,7 +469,6 @@ def cmd_simulate(args) -> int:
             "generated_at": _timestamp(),
             "wall_time_s": report.wall_time_s,
             "score_route": route,
-            "score_dtype": dtype,
         },
         "report": report.comparable_dict(),
         "bounds": bounds,
@@ -505,7 +504,7 @@ def cmd_sweep(args) -> int:
     if param == "N":
         model, dec, trials = _channel_setup(args, config, _picked_p(args, config))
     rows = []
-    scoring = []
+    routes = []
     for value in values:
         if param == "p":
             model, dec, trials = _channel_setup(args, config, float(value))
@@ -518,7 +517,7 @@ def cmd_sweep(args) -> int:
         report = channel.estimate_error_probability(
             cb, model, dec, trials, seed, workers
         )
-        scoring.append(channel.score_route(cb, model))
+        routes.append(channel.score_route(cb, model))
         rows.append(
             {
                 "param": param,
@@ -543,10 +542,7 @@ def cmd_sweep(args) -> int:
         resolved,
         ["param", "value", "trials", "errors", "p_hat", "std_err"],
         rows,
-        metadata={
-            "score_route": [route for route, _ in scoring],
-            "score_dtype": [dtype for _, dtype in scoring],
-        },
+        metadata={"score_route": routes},
     )
     return 0
 

@@ -260,6 +260,26 @@ class TestEstimator:
         two = estimate_error_probability(cb, model, DIST, 40_000, 4, workers=2)
         assert one.comparable_dict() == two.comparable_dict()
 
+    def test_superset_estimate_ships_the_scan(self, monkeypatch):
+        # a loaded codebook carries no scan; a unique_superset estimate scans
+        # once up front, so the codebook pickled to pool workers carries it.
+        # Two chunks on two workers: no kernel runs in this process
+        cb = codebook.codebook_to_dict(cap_codebook(J=8))
+        cb = codebook.codebook_from_dict(cb)
+        assert cb._max_intersection is None
+        sup = DecoderConfig("unique_superset")
+        trials = channel._chunk_size(len(cb)) + 1
+        model = SequencingErrorModel.none()
+        estimate_error_probability(cb, model, sup, trials, 4, workers=2)
+        copy = pickle.loads(pickle.dumps(cb))
+        assert copy._max_intersection is not None
+
+        def rescan(_):
+            raise AssertionError("separation scan repeated")
+
+        monkeypatch.setattr(codebook, "max_pairwise_intersection", rescan)
+        assert channel._Context(copy).cap == copy._max_intersection[0]
+
     def test_context_freed_with_its_codebook(self):
         cb = cap_codebook(J=8)
         estimate_error_probability(cb, SequencingErrorModel.none(), DIST, 1_000, 2)
@@ -271,7 +291,8 @@ class TestEstimator:
         assert ctx_ref() is None
 
 
-ROUTES = (("dense", "float64"), ("dense", "float32"), ("sparse", "int64"))
+ROUTES = ("dense", "sparse")
+SCORE_DTYPES = {"dense": np.float32, "sparse": np.int64}
 
 
 def route_models(J):
@@ -305,7 +326,8 @@ def small_codebooks(draw):
         )
         sc = ScalingParams(M=M, inner_size=M * group, N=N, J=J)
         cws = tuple(
-            Codeword.from_molecules(g * group + row[g] for g in range(M)) for row in rows
+            Codeword.from_molecules(g * group + row[g] for g in range(M))
+            for row in rows
         )
         return Codebook(sc, cws, True, group_size=group, validate_distinct=False)
     inner = draw(st.integers(M + 1, 3 * M))
@@ -322,8 +344,8 @@ def small_codebooks(draw):
 
 
 class TestScoreRoutes:
-    """The sparse (inverted index) and dense (float32 / float64 GEMM) score
-    routes against each other and against plain loops."""
+    """The sparse (inverted index) and dense (float32 GEMM) score routes
+    against each other and against plain loops."""
 
     @settings(max_examples=100, deadline=None)
     @given(cb=small_codebooks(), B=st.integers(1, 10), data=st.data())
@@ -345,13 +367,15 @@ class TestScoreRoutes:
         observed = [set(row.tolist()) - {ctx.inner} for row in reads]
         for rule in channel.DECODER_RULES:
             if rule == "multiplicity_count":
-                expect = [[sum(m in sup for m in row) for sup in supports] for row in reads]
+                expect = [
+                    [sum(m in sup for m in row) for sup in supports] for row in reads
+                ]
             else:
                 expect = [[len(obs & sup) for sup in supports] for obs in observed]
-            for scoring in ROUTES:
-                scores, sizes = channel._scores(ctx, rule, reads, scoring)
-                assert scores.dtype == np.dtype(scoring[1])
-                assert scores.tolist() == expect, (rule, scoring)
+            for route in ROUTES:
+                scores, sizes = channel._scores(ctx, rule, reads, route)
+                assert scores.dtype == SCORE_DTYPES[route]
+                assert scores.tolist() == expect, (rule, route)
                 if rule != "multiplicity_count":
                     assert sizes.tolist() == [len(obs) for obs in observed]
 
@@ -364,10 +388,10 @@ class TestScoreRoutes:
             for rule in channel.DECODER_RULES:
                 dec = DecoderConfig(rule, epsilon=0.13)
                 runs = []
-                for scoring in ROUTES:
+                for route in ROUTES:
                     rng = np.random.default_rng(seed)
                     msgs = rng.integers(0, ctx.J, size=B)
-                    runs.append(channel._trials(ctx, model, dec, rng, msgs, N, scoring))
+                    runs.append(channel._trials(ctx, model, dec, rng, msgs, N, route))
                 for other in runs[1:]:
                     assert other.keys() == runs[0].keys()
                     for key, column in runs[0].items():
@@ -384,7 +408,7 @@ class TestScoreRoutes:
         rng = np.random.default_rng(seed)
         msgs = rng.integers(0, ctx.J, size=B)
         out = channel._trials(
-            ctx, SequencingErrorModel.none(), dec, rng, msgs, N, ROUTES[1]
+            ctx, SequencingErrorModel.none(), dec, rng, msgs, N, "dense"
         )
         rng = np.random.default_rng(seed)
         rng.integers(0, ctx.J, size=B)
@@ -407,8 +431,8 @@ class TestScoreRoutes:
         coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * dec.epsilon) * M
         assert out["coverage_ok"].tolist() == coverage_ok.tolist()
 
-    @pytest.mark.parametrize("scoring", ROUTES)
-    def test_forced_route_keeps_single_trials(self, scoring, monkeypatch):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_forced_route_keeps_single_trials(self, route, monkeypatch):
         codebooks = [
             cap_codebook(J=8),
             codebook.repetition_codebook(
@@ -424,7 +448,7 @@ class TestScoreRoutes:
             for seed in range(5)
         ]
         expect = [run_trial(cb, seed % len(cb), m, d, seed) for cb, m, d, seed in cases]
-        monkeypatch.setattr(channel, "score_route", lambda *args: scoring)
+        monkeypatch.setattr(channel, "score_route", lambda *args: route)
         got = [run_trial(cb, seed % len(cb), m, d, seed) for cb, m, d, seed in cases]
         assert got == expect
 
@@ -432,20 +456,17 @@ class TestScoreRoutes:
         wide = greedy_index_codebook(
             ScalingParams(M=8, inner_size=1024, N=16, J=64), 3, 64, 1, 10_000
         )
-        assert channel.score_route(wide, SequencingErrorModel.random(0.5)) == (
-            "sparse",
-            "int64",
-        )
+        assert channel.score_route(wide, SequencingErrorModel.random(0.5)) == "sparse"
         # the criterion-11 shape
         narrow = greedy_index_codebook(
             ScalingParams(M=16, inner_size=64, N=32, J=64), 12, 64, 20, 100_000
         )
         for model in route_models(len(narrow)):
-            assert channel.score_route(narrow, model) == ("dense", "float32")
+            assert channel.score_route(narrow, model) == "dense"
         # float32 stops holding every integer score from 2^24 reads on
-        assert channel.score_route(
-            narrow, SequencingErrorModel.none(), n_reads=1 << 24
-        ) == ("dense", "float64")
+        none = SequencingErrorModel.none()
+        assert channel.score_route(narrow, none, n_reads=(1 << 24) - 1) == "dense"
+        assert channel.score_route(narrow, none, n_reads=1 << 24) == "sparse"
 
 
 class TestAdversarialAttack:

@@ -208,14 +208,13 @@ class TestSimulateCommand:
             ["codebook", "--M", "8", "--inner-size", "1024", "--N", "16",
              "--target-J", "64", "--cap", "3", "--seed", "1", "--out", str(wide)]
         ) == 0
-        for cb, route, dtype in ((narrow, "dense", "float32"), (wide, "sparse", "int64")):
+        for cb, route in ((narrow, "dense"), (wide, "sparse")):
             out = tmp_path / "sim.json"
             assert main(
                 ["simulate", "--codebook", str(cb), "--model", "random", "--p", "0.5",
                  "--trials", "500", "--out", str(out)]
             ) == 0
-            meta = read_json(out)["metadata"]
-            assert (meta["score_route"], meta["score_dtype"]) == (route, dtype)
+            assert read_json(out)["metadata"]["score_route"] == route
 
     def test_causes_csv_written(self, tmp_path):
         cb = self.build_cb(tmp_path)
@@ -305,9 +304,7 @@ class TestSweepCommand:
              "--param", "p", "--values", "0.5", "0.995", "--trials", "500",
              "--out", str(out)]
         ) == 0
-        meta = read_json(out)["metadata"]
-        assert meta["score_route"] == ["dense", "sparse"]
-        assert meta["score_dtype"] == ["float32", "int64"]
+        assert read_json(out)["metadata"]["score_route"] == ["dense", "sparse"]
 
     def test_codebook_loaded_once(self, tmp_path, monkeypatch):
         cb_path = tmp_path / "cb.json"
