@@ -11,10 +11,16 @@ One kernel, ``_trials``, runs every trial: the estimator calls it on a chunk
 of messages, and ``run_trial`` / ``adversarial_attack_trial`` call it on a
 batch of one.  RNG draw order within an estimator chunk: messages, sampling
 indices, the model's per-read uniforms and replacement draws, then the
-tie-break jitter (one uniform per trial and codeword, skipped by
-unique_superset).  ``run_trial`` is given its message, so its draws start
-at the sampling indices; ``adversarial_attack_trial`` first draws its
-message coin.
+tie-break: one integer per tied trial, in trial order, uniform over the
+count of its top-scoring codewords (the k-th of them is decoded).  Untied
+trials and unique_superset draw nothing for it.  ``run_trial`` is given its
+message, so its draws start at the sampling indices;
+``adversarial_attack_trial`` first draws its message coin.
+
+The kernel returns what every caller reads; the guarantee flags and the
+failure cause come from ``_flags`` and ``_failure_cause``, which the
+estimator runs on wrong trials only (it tallies causes of wrong trials and
+nothing else) and the single-trial functions on their one trial.
 
 Decoder scores (per trial and codeword, the distinct observed molecules the
 codeword holds, or its reads for multiplicity_count) take one of two
@@ -56,6 +62,11 @@ _KEY_MASK = (1 << 128) - 1
 # kept reads touch; per-chunk timings put the crossover against the float32
 # GEMM between ratios 640 and 2048
 _SPARSE_RATIO = 1024
+
+# cell budget of the dense route: score_route takes the sparse route when a
+# chunk's B x (inner+1) occupancy arrays or the J x inner support matrix
+# would hold more cells (about 200 MB of chunk arrays for multiplicity_count)
+_DENSE_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -271,11 +282,13 @@ def score_route(
     inner * J cells of the dense product.  "sparse" sums the index entries
     into int64 counts; "dense" multiplies by the support matrix in float32,
     which holds every integer score exactly only below 2^24 reads, so from
-    there on the route is always sparse."""
+    there on the route is always sparse.  So is it when the dense route's
+    arrays would exceed _DENSE_CELLS cells."""
     ctx = _context(cb)
     n = ctx.N if n_reads is None else n_reads
     kept = n * (1.0 - model.p) if model.kind == "erasure" else n
-    if n >= 1 << 24:
+    dense_cells = max(_chunk_size(ctx.J) * (ctx.inner + 1), ctx.J * ctx.inner)
+    if n >= 1 << 24 or dense_cells > _DENSE_CELLS:
         return "sparse"
     index_entries = kept * ctx.nnz / ctx.inner
     return "sparse" if ctx.inner * ctx.J > _SPARSE_RATIO * index_entries else "dense"
@@ -327,10 +340,11 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     module docstring gives; route is score_route's pick.
 
     Returns per-trial arrays: decoded (-1 where unique_superset finds no
-    single containing codeword), wrong, distinct, errors, errors_ok,
-    coverage_ok, tie and cause (indices into FAILURE_CAUSES); the
-    adversarial model adds cases (trials x N), pattern_i and bad."""
-    M, inner, J = ctx.M, ctx.inner, ctx.J
+    single containing codeword), wrong, distinct, errors, tie and positions
+    (trials x N, the support position of each clean draw, which _flags
+    reads); the adversarial model adds cases (trials x N), pattern_i and
+    bad."""
+    M, inner = ctx.M, ctx.inner
     B = msgs.size
     rows = np.arange(B)
 
@@ -380,45 +394,26 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
         n_candidates = covering.sum(axis=1)
         decoded = np.where(n_candidates == 1, np.argmax(covering, axis=1), -1)
     else:
-        top = scores.max(axis=1)
-        tie = (scores == top[:, None]).sum(axis=1) > 1
-        # integer scores + sub-unit jitter: breaks ties uniformly, preserves order
-        jitter = rng.random((B, J))
-        decoded = np.argmax(scores + jitter, axis=1)
-
-    wrong = decoded != msgs
-
-    eps, eta = dec.epsilon, dec.eta
-    if dec.rule == "distinct_intersection":
-        errors_ok = errors <= eps * M
-        coverage_ok = distinct_count >= (ctx.r0 + 3.0 * eps) * M
-    elif dec.rule == "multiplicity_count":
-        errors_ok = errors < eps * eta * N
-        threshold = eta * N / M
-        flat0 = positions + (rows * S)[:, None]
-        counts0 = np.bincount(flat0.ravel(), minlength=B * S).reshape(B, S)
-        undersampled = ((counts0 <= threshold) & ctx.support_mask[msgs]).sum(axis=1)
-        coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * eps) * M
-    else:
-        errors_ok = errors == 0
-        coverage_ok = distinct_count > ctx.cap
-
-    # failure-cause priority: tie > outage > sequencing > collision
-    cause = np.zeros(B, dtype=np.int8)
-    cause[wrong] = 2
-    cause[wrong & ~errors_ok] = 3
-    cause[wrong & ~coverage_ok] = 1
-    cause[wrong & tie] = 4
+        # the first top codeword, which untied rows decode to
+        decoded = np.argmax(scores, axis=1)
+        at_top = scores == scores[rows, decoded][:, None]
+        n_top = np.count_nonzero(at_top, axis=1)
+        tie = n_top > 1
+        tied = np.flatnonzero(tie)
+        if tied.size:
+            # a uniform pick among a tied row's top codewords: the k-th of
+            # them is the first column whose running count exceeds k
+            k = rng.integers(0, n_top[tied])
+            ranks = np.cumsum(at_top[tied], axis=1)
+            decoded[tied] = np.argmax(ranks > k[:, None], axis=1)
 
     out = {
         "decoded": decoded,
-        "wrong": wrong,
+        "wrong": decoded != msgs,
         "distinct": distinct_count,
         "errors": errors,
-        "errors_ok": errors_ok,
-        "coverage_ok": coverage_ok,
         "tie": tie,
-        "cause": cause,
+        "positions": positions,
     }
     if cases is not None:
         a, b = model.attack_pair
@@ -437,13 +432,53 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     return out
 
 
+def _flags(ctx, dec, t, msgs, rows):
+    """(errors_ok, coverage_ok), the first two guarantee flags, of the trials
+    rows (an index array) of the kernel output t for messages msgs.  The
+    estimator reads flags only through the cause of wrong trials, so it asks
+    for those rows alone."""
+    M, N = ctx.M, t["positions"].shape[1]
+    errors, distinct = t["errors"][rows], t["distinct"][rows]
+    eps, eta = dec.epsilon, dec.eta
+    if dec.rule == "distinct_intersection":
+        errors_ok = errors <= eps * M
+        coverage_ok = distinct >= (ctx.r0 + 3.0 * eps) * M
+    elif dec.rule == "multiplicity_count":
+        errors_ok = errors < eps * eta * N
+        # reads per support position of the sent codeword
+        S = ctx.support_mask.shape[1]
+        flat0 = t["positions"][rows] + (np.arange(rows.size) * S)[:, None]
+        counts0 = np.bincount(flat0.ravel(), minlength=rows.size * S)
+        counts0 = counts0.reshape(rows.size, S)
+        held = ctx.support_mask[msgs[rows]]
+        undersampled = ((counts0 <= eta * N / M) & held).sum(axis=1)
+        coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * eps) * M
+    else:
+        errors_ok = errors == 0
+        coverage_ok = distinct > ctx.cap
+    return errors_ok, coverage_ok
+
+
+def _failure_cause(tie, errors_ok, coverage_ok):
+    """FAILURE_CAUSES index of wrong trials with these tie flags and
+    guarantee flags; the priority is tie > outage > sequencing > collision."""
+    cause = np.full(tie.shape, 2, dtype=np.int8)
+    cause[~errors_ok] = 3
+    cause[~coverage_ok] = 1
+    cause[tie] = 4
+    return cause
+
+
 def _one_trial(cb, message, model, dec, rng, n_reads) -> TrialOutcome:
     """A batch of one through the kernel, as a TrialOutcome."""
     if n_reads < 1:
         raise DomainError("need at least one read")
     ctx = _context(cb)
     route = score_route(cb, model, n_reads)
-    batch = _trials(ctx, model, dec, rng, np.array([message]), n_reads, route)
+    msgs = np.array([message])
+    batch = _trials(ctx, model, dec, rng, msgs, n_reads, route)
+    errors_ok, coverage_ok = _flags(ctx, dec, batch, msgs, np.arange(1))
+    cause = _failure_cause(batch["tie"], errors_ok, coverage_ok)[0]
     t = {key: column[0] for key, column in batch.items()}
     decoded = int(t["decoded"])
     return TrialOutcome(
@@ -453,11 +488,11 @@ def _one_trial(cb, message, model, dec, rng, n_reads) -> TrialOutcome:
         distinct_sampled=int(t["distinct"]),
         sequencing_errors=int(t["errors"]),
         guarantee_flags=(
-            bool(t["errors_ok"]),
-            bool(t["coverage_ok"]),
+            bool(errors_ok[0]),
+            bool(coverage_ok[0]),
             bool(ctx.cap < (ctx.r0 + dec.epsilon) * ctx.M),
         ),
-        failure_cause=FAILURE_CAUSES[t["cause"]],
+        failure_cause=FAILURE_CAUSES[cause if t["wrong"] else 0],
         tie_broken=bool(t["tie"]),
         attack_cases=tuple(int(c) for c in t["cases"]) if "cases" in t else None,
         attack_bad_event=bool(t["bad"]) if "bad" in t else None,
@@ -521,6 +556,10 @@ def _estimate_chunk(spec):
     rng = np.random.Generator(np.random.Philox(key=key))
     msgs = rng.integers(0, ctx.J, size=size)
     t = _trials(ctx, model, dec, rng, msgs, ctx.N, route)
+    wrong = np.flatnonzero(t["wrong"])
+    cause = _failure_cause(t["tie"][wrong], *_flags(ctx, dec, t, msgs, wrong))
+    cause_counts = np.bincount(cause, minlength=len(FAILURE_CAUSES))
+    cause_counts[0] = size - wrong.size
     attack = None
     if "bad" in t:
         bad = t["bad"]
@@ -529,8 +568,7 @@ def _estimate_chunk(spec):
             int(bad.sum()),
             int((bad & t["wrong"]).sum()),
         )
-    cause_counts = np.bincount(t["cause"], minlength=len(FAILURE_CAUSES))
-    return int(t["wrong"].sum()), cause_counts, attack
+    return int(wrong.size), cause_counts, attack
 
 
 def estimate_error_probability(

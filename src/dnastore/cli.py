@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import balls_bins, channel, codebook as cbk, exponents
+from ._files import atomic_open
 from .errors import CapacityError, DomainError, ShortfallError
 from .params import ScalingParams
 
@@ -113,10 +114,11 @@ def _json_default(value):
 
 
 def _open_out(out):
-    """A context manager over stdout for None or "-", else over a new file."""
+    """A context manager over stdout for None or "-", else over a file that
+    replaces out only once it is written whole."""
     if out in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
-    return open(out, "w")
+    return atomic_open(out)
 
 
 def _finite_or_none(x: float):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._files import atomic_open
 from .errors import DomainError, ShortfallError
 from .params import ScalingParams
 
@@ -494,7 +495,9 @@ def codebook_from_dict(d: dict) -> Codebook:
 
 
 def save_codebook(cb: Codebook, path) -> None:
-    with open(path, "w") as fh:
+    """Write cb to path, whole or not at all (a previous file survives a
+    failed write)."""
+    with atomic_open(path) as fh:
         json.dump(codebook_to_dict(cb), fh, sort_keys=True, indent=2)
         fh.write("\n")
 

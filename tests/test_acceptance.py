@@ -222,6 +222,7 @@ def _soundness_settings():
     ]
 
 
+@pytest.mark.slow
 @criterion(7, 60.0, "conditions-hold => decode-success, zero violations (6 settings)")
 def test_criterion_07_guarantee_soundness():
     for kwargs, model, dec in _soundness_settings():
@@ -271,6 +272,7 @@ def test_criterion_09_plotkin_k3():
         assert best >= need, masks
 
 
+@pytest.mark.slow
 @criterion(10, 120.0, "paired attack at 1e7 trials: lower bound and coin-flip bad events")
 def test_criterion_10_adversarial_attack():
     scaling = ScalingParams(M=8, inner_size=16, N=6, J=2)
@@ -319,6 +321,7 @@ def _bracketing_runs(trials, master_seed, workers=1):
     return reports
 
 
+@pytest.mark.slow
 @criterion(11, 120.0, "universal lower bounds bracket 1e6-trial estimates (3 models)")
 def test_criterion_11_bound_bracketing():
     reports = _bracketing_runs(trials=1_000_000, master_seed=33)
@@ -335,6 +338,7 @@ def test_criterion_11_bound_bracketing():
     assert measurable >= 2  # erasure and random runs see real errors
 
 
+@pytest.mark.slow
 @criterion(12, 240.0, "criteria 5-11 reproduce exactly, independent of workers")
 def test_criterion_12_determinism():
     # Monte-Carlo occupancy sampling (criterion 5 machinery)

@@ -391,7 +391,10 @@ class TestScoreRoutes:
                 for route in ROUTES:
                     rng = np.random.default_rng(seed)
                     msgs = rng.integers(0, ctx.J, size=B)
-                    runs.append(channel._trials(ctx, model, dec, rng, msgs, N, route))
+                    out = channel._trials(ctx, model, dec, rng, msgs, N, route)
+                    flags = channel._flags(ctx, dec, out, msgs, np.arange(B))
+                    out["errors_ok"], out["coverage_ok"] = flags
+                    runs.append(out)
                 for other in runs[1:]:
                     assert other.keys() == runs[0].keys()
                     for key, column in runs[0].items():
@@ -429,7 +432,8 @@ class TestScoreRoutes:
         gathered = counts0[rows[:, None], padded[msgs]]
         undersampled = ((gathered <= dec.eta * N / M) & mask[msgs]).sum(axis=1)
         coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * dec.epsilon) * M
-        assert out["coverage_ok"].tolist() == coverage_ok.tolist()
+        flags = channel._flags(ctx, dec, out, msgs, np.arange(B))
+        assert flags[1].tolist() == coverage_ok.tolist()
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_forced_route_keeps_single_trials(self, route, monkeypatch):
@@ -467,6 +471,161 @@ class TestScoreRoutes:
         none = SequencingErrorModel.none()
         assert channel.score_route(narrow, none, n_reads=(1 << 24) - 1) == "dense"
         assert channel.score_route(narrow, none, n_reads=1 << 24) == "sparse"
+
+    def test_dense_route_keeps_to_its_cell_budget(self, monkeypatch):
+        # two disjoint codewords of 2^11 molecules out of 2^16: the shape
+        # rule alone reads dense, but a chunk's B x (inner+1) occupancy
+        # arrays would hold 2^30 cells
+        M, inner = 1 << 11, 1 << 16
+        sc = ScalingParams(M=M, inner_size=inner, N=M, J=2)
+        halves = (range(M), range(M, 2 * M))
+        cb = Codebook(sc, tuple(map(Codeword.from_molecules, halves)), False)
+        none = SequencingErrorModel.none()
+        assert channel.score_route(cb, none) == "sparse"
+        monkeypatch.setattr(channel, "_DENSE_CELLS", 1 << 40)
+        assert channel.score_route(cb, none) == "dense"
+
+
+def full_jitter_trials(ctx, model, dec, rng, msgs, N, route):
+    """The kernel as it was before the tie-break drew for tied rows only:
+    every row adds one jitter uniform per codeword to its scores and takes
+    the argmax, and flags and causes are computed for every row.  Kept here
+    as the reference the tie-break is checked against."""
+    M, inner, J = ctx.M, ctx.inner, ctx.J
+    B = msgs.size
+    rows = np.arange(B)
+    sample_idx = rng.integers(0, M, size=(B, N))
+    sampled = ctx.expanded[msgs[:, None], sample_idx]
+    if ctx.positions is None:
+        positions = sample_idx
+    else:
+        positions = ctx.positions[msgs[:, None], sample_idx]
+    S = ctx.support_mask.shape[1]
+    occ0 = np.zeros((B, S), dtype=bool)
+    occ0[rows[:, None], positions] = True
+    distinct_count = occ0.sum(axis=1)
+    if model.kind == "none" or model.p == 0.0:
+        reads = sampled
+        errors = np.zeros(B, dtype=np.int64)
+    elif model.kind == "erasure":
+        mask = rng.random((B, N)) < model.p
+        reads = np.where(mask, inner, sampled)
+        errors = mask.sum(axis=1)
+    elif model.kind == "random":
+        mask = rng.random((B, N)) < model.p
+        repl = rng.integers(0, inner, size=(B, N))
+        reads = np.where(mask, repl, sampled)
+        errors = (reads != sampled).sum(axis=1)
+    else:
+        a, b = model.attack_pair
+        u = rng.random((B, N))
+        cases = np.zeros((B, N), dtype=np.int8)
+        cases[u < model.p] = 2
+        cases[u < model.p / 2.0] = 1
+        repl_a = ctx.expanded[a][rng.integers(0, M, size=(B, N))]
+        repl_b = ctx.expanded[b][rng.integers(0, M, size=(B, N))]
+        reads = np.where(cases == 1, repl_a, np.where(cases == 2, repl_b, sampled))
+        errors = (reads != sampled).sum(axis=1)
+    scores, observed_sizes = channel._scores(ctx, dec.rule, reads, route)
+    tie = np.zeros(B, dtype=bool)
+    if dec.rule == "unique_superset":
+        covering = scores == observed_sizes[:, None]
+        n_candidates = covering.sum(axis=1)
+        decoded = np.where(n_candidates == 1, np.argmax(covering, axis=1), -1)
+    else:
+        top = scores.max(axis=1)
+        tie = (scores == top[:, None]).sum(axis=1) > 1
+        decoded = np.argmax(scores + rng.random((B, J)), axis=1)
+    wrong = decoded != msgs
+    eps, eta = dec.epsilon, dec.eta
+    if dec.rule == "distinct_intersection":
+        errors_ok = errors <= eps * M
+        coverage_ok = distinct_count >= (ctx.r0 + 3.0 * eps) * M
+    elif dec.rule == "multiplicity_count":
+        errors_ok = errors < eps * eta * N
+        flat0 = positions + (rows * S)[:, None]
+        counts0 = np.bincount(flat0.ravel(), minlength=B * S).reshape(B, S)
+        undersampled = ((counts0 <= eta * N / M) & ctx.support_mask[msgs]).sum(axis=1)
+        coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * eps) * M
+    else:
+        errors_ok = errors == 0
+        coverage_ok = distinct_count > ctx.cap
+    cause = np.zeros(B, dtype=np.int8)
+    cause[wrong] = 2
+    cause[wrong & ~errors_ok] = 3
+    cause[wrong & ~coverage_ok] = 1
+    cause[wrong & tie] = 4
+    return {
+        "decoded": decoded,
+        "wrong": wrong,
+        "distinct": distinct_count,
+        "errors": errors,
+        "errors_ok": errors_ok,
+        "coverage_ok": coverage_ok,
+        "tie": tie,
+        "cause": cause,
+        "scores": scores,
+    }
+
+
+class TestTieBreak:
+    """The tie-break draws only for tied rows, and only after every other
+    draw, so everything but the decode of tied rows matches the full-jitter
+    kernel it replaced."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(cb=small_codebooks(), B=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_matches_full_jitter_kernel(self, cb, B, seed):
+        ctx = channel._Context(cb)
+        N = cb.scaling.N
+        rows = np.arange(B)
+        for model in route_models(ctx.J):
+            for rule in channel.DECODER_RULES:
+                dec = DecoderConfig(rule, epsilon=0.13)
+                route = ROUTES[seed % 2]
+                rng = np.random.default_rng(seed)
+                msgs = rng.integers(0, ctx.J, size=B)
+                new = channel._trials(ctx, model, dec, rng, msgs, N, route)
+                rng = np.random.default_rng(seed)
+                rng.integers(0, ctx.J, size=B)
+                old = full_jitter_trials(ctx, model, dec, rng, msgs, N, route)
+                for key in ("tie", "distinct", "errors"):
+                    assert np.array_equal(new[key], old[key]), (model, rule, key)
+                flags = channel._flags(ctx, dec, new, msgs, rows)
+                assert np.array_equal(flags[0], old["errors_ok"])
+                assert np.array_equal(flags[1], old["coverage_ok"])
+                untied = ~new["tie"]
+                assert np.array_equal(new["decoded"][untied], old["decoded"][untied])
+                scores = old["scores"]
+                top = scores.max(axis=1)
+                assert (scores[rows, new["decoded"]] == top)[new["tie"]].all()
+                # a cause is a function of the flags for rows wrong in both
+                wrong = np.flatnonzero(new["wrong"])
+                cause = np.zeros(B, dtype=np.int8)
+                cause[wrong] = channel._failure_cause(
+                    new["tie"][wrong], *channel._flags(ctx, dec, new, msgs, wrong)
+                )
+                same = new["wrong"] == old["wrong"]
+                assert np.array_equal(cause[same], old["cause"][same])
+                assert (cause[new["wrong"] & new["tie"]] == 4).all()
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("rule", ["distinct_intersection", "multiplicity_count"])
+    def test_uniform_among_identical_codewords(self, k, rule):
+        sc = ScalingParams(M=8, inner_size=16, N=8, J=k)
+        cw = Codeword.from_molecules(range(8))
+        cb = Codebook(sc, (cw,) * k, False, validate_distinct=False)
+        ctx = channel._Context(cb)
+        model = SequencingErrorModel.none()
+        trials = 20_000
+        rng = np.random.default_rng(k)
+        msgs = np.zeros(trials, dtype=np.int64)
+        route = channel.score_route(cb, model)
+        out = channel._trials(ctx, model, DecoderConfig(rule), rng, msgs, 8, route)
+        assert out["tie"].all()
+        freq = np.bincount(out["decoded"], minlength=k) / trials
+        sigma = math.sqrt((1 / k) * (1 - 1 / k) / trials)
+        assert np.abs(freq - 1 / k).max() <= 4 * sigma, freq
 
 
 class TestAdversarialAttack:

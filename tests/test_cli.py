@@ -1,10 +1,11 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
-from dnastore import codebook as cbk
+from dnastore import cli, codebook as cbk
 from dnastore.cli import fig1_default_grid, main
 from dnastore.codebook import load_codebook
 
@@ -330,3 +331,31 @@ class TestSweepCommand:
     def test_needs_values(self, tmp_path):
         rc = main(["sweep", "--param", "p", "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+
+class TestAtomicOutput:
+    def test_failed_dump_keeps_the_old_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        cli._dump_json(out, {"a": 1})
+        before = out.read_bytes()
+        # _json_default rejects the value after "a" is written
+        with pytest.raises(TypeError):
+            cli._dump_json(out, {"a": 2, "b": object()})
+        assert out.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_write_replaces_with_plain_permissions(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("old\n")
+        cli._dump_json(out, {"a": [1, 2]})
+        assert read_json(out) == {"a": [1, 2]}
+        assert os.listdir(tmp_path) == ["report.json"]
+        plain = tmp_path / "plain.json"
+        with open(plain, "w"):
+            pass
+        assert out.stat().st_mode == plain.stat().st_mode
+
+    @pytest.mark.parametrize("out", [None, "-"])
+    def test_stdout_unchanged(self, out, capsys):
+        cli._dump_json(out, {"a": 1})
+        assert json.loads(capsys.readouterr().out) == {"a": 1}

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -454,6 +455,20 @@ class TestSerialization:
         path2 = tmp_path / "cb2.json"
         save_codebook(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        sc = scaling(M=8, inner=32, N=16, J=100)
+        cb = greedy_index_codebook(sc, 6, target_J=5, seed=8, attempt_budget=2500)
+        path = tmp_path / "cb.json"
+        save_codebook(cb, path)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            codebook_module, "codebook_to_dict", lambda _: {"a": 1, "b": object()}
+        )
+        with pytest.raises(TypeError):
+            save_codebook(cb, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["cb.json"]
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
