@@ -190,20 +190,33 @@ class DistinctCountSample:
     std_err: np.ndarray
 
 
+def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
+    """Number of distinct entries in each row of values (B x N, every entry
+    in [0, width)).
+
+    Up to 64 bins, a row ORs one uint64 bit per entry and counts the set
+    bits, which needs neither random writes nor a B x width array; wider
+    rows scatter into one flat bool array of B * width bytes through an
+    int64 flat index.  Either way the work array holds 8 bytes per entry."""
+    if width <= 64:
+        bits = np.left_shift(np.uint64(1), values, dtype=np.uint64, casting="unsafe")
+        return np.bitwise_count(np.bitwise_or.reduce(bits, axis=1)).astype(np.intp)
+    B = values.shape[0]
+    flat = values + (np.arange(B, dtype=np.int64) * width)[:, None]
+    seen = np.zeros(B * width, dtype=bool)
+    seen[flat] = True
+    return np.count_nonzero(seen.reshape(B, width), axis=1)
+
+
 def _sample_chunk(args) -> np.ndarray:
     M, N, seed, chunk_index, size = args
-    kmax = min(N, M)
-    if N == 0:
-        out = np.zeros(kmax + 1, dtype=np.int64)
-        out[0] = size
-        return out
     key = ((seed & _MASK64) << 64) | chunk_index
     rng = np.random.Generator(np.random.Philox(key=key))
-    draws = rng.integers(0, M, size=(size, N))
-    flat = draws + np.arange(size, dtype=np.int64)[:, None] * M
-    occupied = np.bincount(flat.ravel(), minlength=size * M).reshape(size, M) > 0
-    distinct = occupied.sum(axis=1)
-    return np.bincount(distinct, minlength=kmax + 1)[: kmax + 1]
+    # on Philox, int32 draws give the values of int64 draws and leave the
+    # generator in the same state for any M below 2^31; the cell cap keeps
+    # M below 1e8
+    draws = rng.integers(0, M, size=(size, N), dtype=np.int32)
+    return np.bincount(distinct_per_row(draws, M), minlength=min(N, M) + 1)
 
 
 def sample_distinct_count(
@@ -214,6 +227,12 @@ def sample_distinct_count(
     Trials are split into fixed-size chunks whose streams depend only on
     (seed, chunk index), so results are reproducible and independent of the
     worker count; chunk tallies merge by summation.
+
+    A chunk of B = min(trials, 2^14) trials holds B x N int32 draws, 8 bytes
+    per draw in distinct_per_row and, above 64 bins, one bool byte per bin:
+    at most B * (12 N + M) bytes.  When B * (N + M) exceeds DEFAULT_CELL_CAP
+    cells the call raises CapacityError before it allocates or starts a
+    worker.
     """
     if M < 1:
         raise DomainError("M must be a positive integer")
@@ -221,6 +240,11 @@ def sample_distinct_count(
         raise DomainError("N must be non-negative")
     if trials < 1:
         raise DomainError("trials must be positive")
+    cells = min(trials, _CHUNK_TRIALS) * (N + M)
+    if cells > DEFAULT_CELL_CAP:
+        raise CapacityError(
+            f"a sampling chunk needs {cells} cells, above the cap {DEFAULT_CELL_CAP}"
+        )
     specs = []
     done = 0
     idx = 0

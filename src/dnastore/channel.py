@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls_bins import LOG_ZERO, _log_comb
+from .balls_bins import LOG_ZERO, _log_comb, distinct_per_row
 from .codebook import Codebook
 from .errors import DomainError
 from .params import ScalingParams
@@ -298,7 +298,8 @@ def _scores(ctx, rule, reads, route):
     """B x J decoder scores of reads (B x N, the sentinel inner marks an
     erasure): per codeword, the distinct observed molecules it holds or,
     for multiplicity_count, the reads it holds.  Also returns the distinct
-    observed count per trial (None for multiplicity_count)."""
+    observed count per trial for unique_superset, its only reader (None for
+    the other rules)."""
     inner, J = ctx.inner, ctx.J
     B = reads.shape[0]
     rows = np.arange(B)
@@ -311,7 +312,7 @@ def _scores(ctx, rule, reads, route):
             observed = np.zeros(B * (inner + 1), dtype=bool)
             observed[flat] = True
         observed = observed.reshape(B, inner + 1)[:, :inner]
-        if rule != "multiplicity_count":
+        if rule == "unique_superset":
             sizes = observed.sum(axis=1)
         return observed.astype(np.float32) @ ctx.support_f.T, sizes
     if rule == "multiplicity_count":
@@ -321,7 +322,8 @@ def _scores(ctx, rule, reads, route):
         ordered = np.sort(reads, axis=1)
         first = ordered != inner
         first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
-        sizes = first.sum(axis=1)
+        if rule == "unique_superset":
+            sizes = first.sum(axis=1)
         owner, col = np.nonzero(first)
         mols = ordered[owner, col]
     start = ctx.inv_ptr[mols]
@@ -348,7 +350,7 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     B = msgs.size
     rows = np.arange(B)
 
-    sample_idx = rng.integers(0, M, size=(B, N))
+    sample_idx = rng.integers(0, M, size=(B, N), dtype=np.int32)
     sampled = ctx.expanded[msgs[:, None], sample_idx]
 
     # clean occupancy over the B x S support positions of the sent codewords
@@ -356,10 +358,7 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
         positions = sample_idx
     else:
         positions = ctx.positions[msgs[:, None], sample_idx]
-    S = ctx.support_mask.shape[1]
-    occ0 = np.zeros((B, S), dtype=bool)
-    occ0[rows[:, None], positions] = True
-    distinct_count = occ0.sum(axis=1)
+    distinct_count = distinct_per_row(positions, ctx.support_mask.shape[1])
 
     cases = None
     if model.kind == "none" or model.p == 0.0:
@@ -445,7 +444,8 @@ def _flags(ctx, dec, t, msgs, rows):
         coverage_ok = distinct >= (ctx.r0 + 3.0 * eps) * M
     elif dec.rule == "multiplicity_count":
         errors_ok = errors < eps * eta * N
-        # reads per support position of the sent codeword
+        # reads per support position of the sent codeword; the offsets are
+        # int64, so the sum cannot overflow int32 positions
         S = ctx.support_mask.shape[1]
         flat0 = t["positions"][rows] + (np.arange(rows.size) * S)[:, None]
         counts0 = np.bincount(flat0.ravel(), minlength=rows.size * S)

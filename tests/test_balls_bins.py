@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dnastore import balls_bins
 from dnastore.balls_bins import (
     LOG_ZERO,
     DistinctCountDistribution,
     OccupancyQuery,
     distinct_count_dp,
+    distinct_per_row,
     empirical_exponent,
     p_occupancy,
     p_via_identity,
@@ -224,6 +227,92 @@ class TestSampling:
             truth = math.exp(dist.log_cdf(K))
             sigma = math.sqrt(max(truth * (1 - truth), 1e-12) / res.trials)
             assert abs(res.cdf[K] - truth) <= 4.0 * sigma + 1e-9
+
+
+def reference_counts(M, N, trials, seed):
+    """Distinct-count tallies of sample_distinct_count computed the plain
+    way: int64 draws and a B x M bincount per chunk, the reference for the
+    sampler's int32 draws and distinct_per_row."""
+    counts = np.zeros(min(N, M) + 1, dtype=np.int64)
+    for idx, start in enumerate(range(0, trials, 1 << 14)):
+        size = min(1 << 14, trials - start)
+        if N == 0:
+            counts[0] += size
+            continue
+        key = ((seed & ((1 << 64) - 1)) << 64) | idx
+        rng = np.random.Generator(np.random.Philox(key=key))
+        draws = rng.integers(0, M, size=(size, N))
+        flat = draws + np.arange(size, dtype=np.int64)[:, None] * M
+        occupied = np.bincount(flat.ravel(), minlength=size * M).reshape(size, M) > 0
+        distinct = occupied.sum(axis=1)
+        counts += np.bincount(distinct, minlength=len(counts))[: len(counts)]
+    return counts
+
+
+class TestOccupancyKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_distinct_per_row_matches_sets(self, data):
+        # both routes: a uint64 bit per bin up to 64 bins, a scatter beyond
+        width = data.draw(st.sampled_from([1, 2, 63, 64, 65, 100]) | st.integers(1, 100))
+        N = data.draw(st.integers(1, 12))
+        row = st.lists(st.integers(0, width - 1), min_size=N, max_size=N)
+        rows = data.draw(st.lists(row, min_size=1, max_size=8))
+        for dtype in (np.int32, np.int64):
+            got = distinct_per_row(np.array(rows, dtype=dtype), width)
+            assert got.tolist() == [len(set(r)) for r in rows]
+
+    def test_distinct_per_row_edges(self):
+        assert distinct_per_row(np.zeros((3, 5), dtype=np.int32), 1).tolist() == [1] * 3
+        one = np.array([[4], [0], [2]], dtype=np.int32)
+        assert distinct_per_row(one, 5).tolist() == [1, 1, 1]
+        for width in (3, 65):
+            empty = np.zeros((2, 0), dtype=np.int32)
+            assert distinct_per_row(empty, width).tolist() == [0, 0]
+        top = np.array([[63, 0, 63], [64, 64, 1]], dtype=np.int32)
+        assert distinct_per_row(top[:1], 64).tolist() == [2]
+        assert distinct_per_row(top, 65).tolist() == [2, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "M,N", [(1, 9), (2, 2), (17, 40), (24, 36), (500, 30), (5, 0)]
+    )
+    def test_sampler_matches_int64_bincount_reference(self, M, N, workers):
+        trials = (1 << 14) + 1_234
+        res = sample_distinct_count(M, N, trials=trials, seed=31, workers=workers)
+        assert res.counts.tolist() == reference_counts(M, N, trials, 31).tolist()
+
+    @pytest.mark.parametrize("M", [1, 2, 24, 4096, (1 << 31) - 1])
+    def test_int32_draws_keep_the_int64_stream(self, M):
+        a = np.random.Generator(np.random.Philox(key=(9 << 64) | 3))
+        b = np.random.Generator(np.random.Philox(key=(9 << 64) | 3))
+        wide = a.integers(0, M, size=(257, 13))
+        narrow = b.integers(0, M, size=(257, 13), dtype=np.int32)
+        assert np.array_equal(wide, narrow)
+        assert np.array_equal(a.random(17), b.random(17))
+
+    def test_oversized_chunk_raises_before_allocating(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(balls_bins, "ProcessPoolExecutor", no_pool)
+        tracemalloc.start()
+        try:
+            # draws or bins alone may break the cap
+            shapes = ((10**5, 10**4, 1 << 14), (10**7, 1, 16), (10, 10**7, 16))
+            for M, N, trials in shapes:
+                for workers in (1, 2):
+                    with pytest.raises(CapacityError):
+                        sample_distinct_count(M, N, trials, seed=0, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # the cap counts the trials of one chunk: few trials may be wide,
+        # and a run may hold more cells than the cap in all
+        assert sample_distinct_count(2_000, 3_000, trials=30, seed=0).counts.sum() == 30
+        res = sample_distinct_count(1, 99, trials=1_100_000, seed=0)
+        assert res.counts.tolist() == [0, 1_100_000]
 
 
 class TestEmpiricalExponent:

@@ -376,8 +376,10 @@ class TestScoreRoutes:
                 scores, sizes = channel._scores(ctx, rule, reads, route)
                 assert scores.dtype == SCORE_DTYPES[route]
                 assert scores.tolist() == expect, (rule, route)
-                if rule != "multiplicity_count":
+                if rule == "unique_superset":
                     assert sizes.tolist() == [len(obs) for obs in observed]
+                else:
+                    assert sizes is None
 
     @settings(max_examples=80, deadline=None)
     @given(cb=small_codebooks(), B=st.integers(1, 12), seed=st.integers(0, 2**32))
