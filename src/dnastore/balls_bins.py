@@ -20,6 +20,9 @@ LOG_ZERO = float("-inf")
 # default resource guard on the occupancy DP (N * M cells)
 DEFAULT_CELL_CAP = 100_000_000
 
+# bytes of int64 flat index per row block of distinct_per_row's wide scatter
+_SCATTER_BYTES = 1 << 22
+
 # trials per Monte-Carlo chunk; fixed so that results are independent of the
 # worker count (each chunk derives its stream from (seed, chunk index))
 _CHUNK_TRIALS = 1 << 14
@@ -196,12 +199,17 @@ def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
 
     Up to 64 bins, a row ORs one uint64 bit per entry and counts the set
     bits, which needs neither random writes nor a B x width array; wider
-    rows scatter into one flat bool array of B * width bytes through an
-    int64 flat index.  Either way the work array holds 8 bytes per entry."""
+    rows scatter into a flat bool array of one byte per bin through an int64
+    flat index, in row blocks whose index fits in _SCATTER_BYTES.  Either
+    way the work array holds 8 bytes per entry."""
     if width <= 64:
         bits = np.left_shift(np.uint64(1), values, dtype=np.uint64, casting="unsafe")
         return np.bitwise_count(np.bitwise_or.reduce(bits, axis=1)).astype(np.intp)
     B = values.shape[0]
+    step = max(1, _SCATTER_BYTES // (8 * max(values.shape[1], 1)))
+    if B > step:
+        blocks = [distinct_per_row(values[r : r + step], width) for r in range(0, B, step)]
+        return np.concatenate(blocks)
     flat = values + (np.arange(B, dtype=np.int64) * width)[:, None]
     seen = np.zeros(B * width, dtype=bool)
     seen[flat] = True
@@ -228,9 +236,9 @@ def sample_distinct_count(
     (seed, chunk index), so results are reproducible and independent of the
     worker count; chunk tallies merge by summation.
 
-    A chunk of B = min(trials, 2^14) trials holds B x N int32 draws, 8 bytes
-    per draw in distinct_per_row and, above 64 bins, one bool byte per bin:
-    at most B * (12 N + M) bytes.  When B * (N + M) exceeds DEFAULT_CELL_CAP
+    A chunk of B = min(trials, 2^14) trials holds B x N int32 draws, up to 8
+    bytes per draw in distinct_per_row and, above 64 bins, one bool byte per
+    bin: at most B * (12 N + M) bytes.  When B * (N + M) exceeds DEFAULT_CELL_CAP
     cells the call raises CapacityError before it allocates or starts a
     worker.
     """

@@ -45,9 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls_bins import LOG_ZERO, _log_comb, distinct_per_row
+from .balls_bins import DEFAULT_CELL_CAP, LOG_ZERO, _log_comb, distinct_per_row
 from .codebook import Codebook
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .params import ScalingParams
 
 MODEL_KINDS = ("none", "erasure", "random", "adversarial")
@@ -201,36 +201,27 @@ class _Context:
         self.M = scaling.M
         self.N = scaling.N
         self.inner = scaling.inner_size
-        self.J = len(cb.codewords)
+        self.J = len(cb)
         if self.J < 1:
             raise DomainError("cannot simulate an empty codebook")
-        self.expanded = np.stack([cw.expand() for cw in cb.codewords]).astype(np.int64)
-        sizes = np.array([len(cw.pairs) for cw in cb.codewords])
         # J x S, S the largest support size: which support positions exist
-        self.support_mask = np.arange(sizes.max()) < sizes[:, None]
+        self.support_mask = mask = cb.support_mask
+        row, col = np.nonzero(mask)
+        mults = cb.mults[mask]
+        self.expanded = np.repeat(cb.molecules[mask], mults).reshape(self.J, self.M)
         # J x M support position of each expanded molecule; None when no
         # codeword repeats a molecule, as a draw's position is then its
         # sampling index (skipping the B x N gather saves about 5 % of a
         # criterion-11 chunk)
         self.positions = None
-        if (sizes < self.M).any():
-            self.positions = np.stack(
-                [
-                    np.repeat(np.arange(len(cw.pairs)), [m for _, m in cw.pairs])
-                    for cw in cb.codewords
-                ]
-            )
+        if (cb.sizes < self.M).any():
+            self.positions = np.repeat(col, mults).reshape(self.J, self.M)
         # inverted index (CSR): the codewords holding molecule m, ascending,
         # are inv_idx[inv_ptr[m]:inv_ptr[m + 1]]; the erasure sentinel
         # m = inner holds none
-        molecules = np.concatenate([cw.support for cw in cb.codewords]).astype(np.int64)
-        self.nnz = molecules.size
-        self.inv_idx = np.repeat(np.arange(self.J), sizes)[
-            np.argsort(molecules, kind="stable")
-        ]
-        self.inv_ptr = np.zeros(self.inner + 2, dtype=np.int64)
-        counts = np.bincount(molecules, minlength=self.inner + 1)
-        np.cumsum(counts, out=self.inv_ptr[1:])
+        self.inv_ptr, order = cb.inverted_index
+        self.nnz = order.size
+        self.inv_idx = row[order]
         # weak, or the context would keep its own _CONTEXTS key alive; the
         # scan is cached on the codebook, so pool workers receive it with it
         self._cb = weakref.ref(cb)
@@ -299,7 +290,8 @@ def _scores(ctx, rule, reads, route):
     erasure): per codeword, the distinct observed molecules it holds or,
     for multiplicity_count, the reads it holds.  Also returns the distinct
     observed count per trial for unique_superset, its only reader (None for
-    the other rules)."""
+    the other rules).  The sparse route raises CapacityError before it
+    allocates B x J scores and index entries beyond DEFAULT_CELL_CAP cells."""
     inner, J = ctx.inner, ctx.J
     B = reads.shape[0]
     rows = np.arange(B)
@@ -330,6 +322,11 @@ def _scores(ctx, rule, reads, route):
     lens = ctx.inv_ptr[mols + 1] - start
     ends = np.cumsum(lens)
     total = int(ends[-1]) if ends.size else 0
+    if B * J + total > DEFAULT_CELL_CAP:
+        raise CapacityError(
+            f"a score chunk needs {B} x {J} scores and {total} index entries, "
+            f"above the cap of {DEFAULT_CELL_CAP} cells"
+        )
     # each molecule's index range inv_ptr[m]:inv_ptr[m + 1], laid end to end
     entries = np.arange(total) + np.repeat(start - ends + lens, lens)
     keys = np.repeat(owner * J, lens) + ctx.inv_idx[entries]
@@ -351,13 +348,13 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     rows = np.arange(B)
 
     sample_idx = rng.integers(0, M, size=(B, N), dtype=np.int32)
-    sampled = ctx.expanded[msgs[:, None], sample_idx]
+    sampled = np.take_along_axis(ctx.expanded[msgs], sample_idx, 1)
 
     # clean occupancy over the B x S support positions of the sent codewords
     if ctx.positions is None:
         positions = sample_idx
     else:
-        positions = ctx.positions[msgs[:, None], sample_idx]
+        positions = np.take_along_axis(ctx.positions[msgs], sample_idx, 1)
     distinct_count = distinct_per_row(positions, ctx.support_mask.shape[1])
 
     cases = None

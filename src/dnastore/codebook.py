@@ -2,15 +2,23 @@
 evaluators for the intersection bounds that govern low-rate error behavior.
 
 Molecules are abstract integer identifiers in [0, inner_size); a codeword is
-a multiset of M of them.
+a multiset of M of them.  A Codebook stores its J codewords as arrays: row j
+of the J x S int64 arrays ``molecules`` and ``mults`` holds codeword j's
+pairs, molecules increasing, in its first ``sizes[j]`` columns, padded with
+-1 and 0.  Construction, file input and output, validation and the
+separation scan (sum_m deg(m)^2 pair updates over the inverted index from
+molecules to codewords, in bounded row blocks, instead of J^2 M or J^2
+inner) work on the arrays; ``Codeword`` objects are built only on request.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -23,8 +31,8 @@ CODEBOOK_FORMAT_VERSION = 1
 # guards float noise when a bound lands exactly on an integer
 _ROUND_GUARD = 1e-9
 
-# largest dense count matrix (codewords x inner_size) the pairwise scan builds
-_DENSE_SCAN_CELLS = 50_000_000
+# cells per block of the separation scan: its rows x J counts and updates
+_SCAN_CELLS = 1 << 19
 
 
 def _half_up(x: float) -> int:
@@ -83,55 +91,107 @@ class Codeword:
         return total
 
 
-@dataclass(eq=False)
+def _arrays(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored (molecules, mults, sizes) of codewords given as sequences
+    of (molecule, multiplicity) pairs."""
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=np.int64)
+    if flat.size != 2 * sizes.sum():
+        raise DomainError("codeword pairs must be [molecule, multiplicity]")
+    mask = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    molecules, mults = np.full(mask.shape, -1), np.zeros(mask.shape, dtype=np.int64)
+    molecules[mask], mults[mask] = flat.reshape(-1, 2).T
+    return molecules, mults, sizes
+
+
+@dataclass(init=False, eq=False)
 class Codebook:
     """An ordered collection of codewords plus its scaling metadata.
 
     index_based marks codebooks that take exactly one molecule from each of
     M equal contiguous groups of the inner codebook (group g covers
     [g*group_size, (g+1)*group_size)).  Treated as immutable once built.
+    Built from Codeword objects, or from the stored arrays (molecules=,
+    mults=, sizes=), as dataclasses.replace does.
     """
 
     scaling: ScalingParams
-    codewords: tuple[Codeword, ...]
     index_based: bool
-    group_size: int | None = None
-    validate_distinct: bool = True
-    _max_intersection: tuple[int, tuple[int, int]] | None = field(
-        default=None, repr=False
-    )
+    group_size: int | None
+    validate_distinct: bool
+    molecules: np.ndarray = field(repr=False)
+    mults: np.ndarray = field(repr=False)
+    sizes: np.ndarray = field(repr=False)
+    _max_intersection: tuple[int, tuple[int, int]] | None = field(repr=False)
 
-    def __post_init__(self):
-        M, inner = self.scaling.M, self.scaling.inner_size
-        for cw in self.codewords:
-            if cw.size != M:
-                raise DomainError(f"codeword size {cw.size} != M = {M}")
-            if cw.pairs and (cw.pairs[0][0] < 0 or cw.pairs[-1][0] >= inner):
-                raise DomainError("molecule identifier out of range")
-        if self.index_based:
-            if self.group_size is None or self.group_size * M != inner:
+    def __init__(self, scaling: ScalingParams, codewords=None, index_based=False,
+                 group_size=None, validate_distinct=True, _max_intersection=None,
+                 *, molecules=None, mults=None, sizes=None):
+        if codewords is not None:
+            codewords = tuple(codewords)
+            molecules, mults, sizes = _arrays([cw.pairs for cw in codewords])
+        self.scaling, self.index_based, self.group_size = scaling, index_based, group_size
+        self.validate_distinct, self._max_intersection = validate_distinct, _max_intersection
+        self.molecules, self.mults, self.sizes = molecules, mults, sizes
+        self._codewords = codewords
+        # J x S: the columns of each row that hold a pair
+        self.support_mask = mask = np.arange(molecules.shape[1]) < sizes[:, None]
+        M, inner = scaling.M, scaling.inner_size
+        if (mults[mask] < 1).any():
+            raise DomainError("multiplicities must be positive")
+        if ((np.diff(molecules, axis=1) <= 0) & mask[:, 1:]).any():
+            raise DomainError("molecules must be strictly increasing")
+        row_sizes = (mults * mask).sum(axis=1)
+        if (row_sizes != M).any():
+            raise DomainError(f"codeword size {row_sizes[row_sizes != M][0]} != M = {M}")
+        if mask.any() and (molecules[mask].min() < 0 or molecules.max() >= inner):
+            raise DomainError("molecule identifier out of range")
+        if index_based:
+            if group_size is None or group_size * M != inner:
                 raise DomainError("index-based codebooks need group_size = inner/M")
-            for cw in self.codewords:
-                if len(cw.pairs) != M or any(m != 1 for _, m in cw.pairs):
-                    raise DomainError(
-                        "index-based codewords must hold M distinct molecules"
-                    )
-                for g, (mol, _) in enumerate(cw.pairs):
-                    if not g * self.group_size <= mol < (g + 1) * self.group_size:
-                        raise DomainError(
-                            f"molecule {mol} is not in group {g} "
-                            f"(group_size {self.group_size})"
-                        )
-        if self.validate_distinct and len(set(self.codewords)) != len(self.codewords):
+            # rows of M pairs: all multiplicities 1 and no padding
+            if (mults != 1).any():
+                raise DomainError("index-based codewords must hold M distinct molecules")
+            off = np.argwhere(molecules // group_size != np.arange(M))
+            if off.size:
+                j, g = off[0]
+                raise DomainError(
+                    f"molecule {molecules[j, g]} is not in group {g} "
+                    f"(group_size {group_size})"
+                )
+        rows = np.concatenate([molecules, mults], axis=1)
+        if validate_distinct and len(np.unique(rows, axis=0)) != len(rows):
             raise DomainError("codewords must be distinct")
 
     def __len__(self) -> int:
-        return len(self.codewords)
+        return len(self.sizes)
+
+    @property
+    def codewords(self) -> tuple[Codeword, ...]:
+        """The codewords as Codeword objects, built on first use."""
+        if self._codewords is None:
+            self._codewords = tuple(Codeword(tuple(zip(*row))) for row in self._rows())
+        return self._codewords
+
+    def _rows(self) -> list[tuple[list[int], list[int]]]:
+        """Each codeword's molecules and multiplicities, as lists of ints."""
+        arrays = self.molecules.tolist(), self.mults.tolist(), self.sizes.tolist()
+        return [(m[:s], u[:s]) for m, u, s in zip(*arrays)]
+
+    @functools.cached_property
+    def inverted_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ptr, order): the pairs order[ptr[m]:ptr[m + 1]] of molecules[
+        support_mask] hold molecule m, in codeword order; the erasure
+        sentinel m = inner_size holds none."""
+        mols = self.molecules[self.support_mask]
+        ptr = np.zeros(self.scaling.inner_size + 2, dtype=np.int64)
+        np.cumsum(np.bincount(mols, minlength=self.scaling.inner_size + 1), out=ptr[1:])
+        return ptr, np.argsort(mols, kind="stable")
 
     def max_intersection(self) -> tuple[int, tuple[int, int]]:
         """Cached exact maximum pairwise intersection; 0 for size < 2."""
         if self._max_intersection is None:
-            if len(self.codewords) < 2:
+            if len(self) < 2:
                 self._max_intersection = (0, (0, 0))
             else:
                 self._max_intersection = max_pairwise_intersection(self)
@@ -142,49 +202,41 @@ def max_pairwise_intersection(cb: Codebook) -> tuple[int, tuple[int, int]]:
     """Exact max multiset intersection over all unordered codeword pairs,
     with the lexicographically smallest attaining pair.
 
-    Index-based codebooks hold one molecule per group in group order, so the
-    intersection of two codewords is the number of positions where their
-    supports agree: the scan compares rows of the J x M support matrix,
-    O(J^2 M) time and O(J M) memory.  Other codebooks take a min-scan over a
-    dense J x inner count matrix, O(J^2 inner) time and O(J inner) memory,
-    or, above _DENSE_SCAN_CELLS cells, a pure-Python merge of every pair.
+    Codewords i < j that share molecule m add min(mult_i, mult_j), one
+    update per pair in m's inverted-index list.  Row blocks whose counts
+    against all J codewords and updates fit in about _SCAN_CELLS cells take
+    one weighted bincount each.  The best pair changes only on a strictly
+    larger row maximum, at its smallest j; the scan stops at M.
     """
-    J = len(cb.codewords)
+    J = len(cb)
     if J < 2:
         raise DomainError("need at least 2 codewords")
-    M = cb.scaling.M
-    inner = cb.scaling.inner_size
-    # later(i): intersections of codeword i with codewords i+1..J-1
-    if cb.index_based:
-        rows = np.array([cw.support for cw in cb.codewords], dtype=np.int64)
-
-        def later(i):
-            return (rows[i] == rows[i + 1 :]).sum(axis=1)
-
-    elif J * inner <= _DENSE_SCAN_CELLS:
-        counts = np.zeros((J, inner), dtype=np.int32)
-        for i, cw in enumerate(cb.codewords):
-            for mol, mult in cw.pairs:
-                counts[i, mol] = mult
-
-        def later(i):
-            return np.minimum(counts[i], counts[i + 1 :]).sum(axis=1)
-
-    else:
-
-        def later(i):
-            a = cb.codewords[i]
-            return np.array([a.intersection_size(b) for b in cb.codewords[i + 1 :]])
-
-    best = -1
-    pair = (0, 1)
-    for i in range(J - 1):
-        vals = later(i)
-        row_best = int(vals.max())
-        if row_best > best:
-            best = row_best
-            pair = (i, i + 1 + int(np.argmax(vals)))
-            if best == M:
+    row, mults = np.nonzero(cb.support_mask)[0], cb.mults[cb.support_mask]
+    ptr, order = cb.inverted_index
+    rank = np.empty_like(order)  # each pair's place in the index
+    rank[order] = np.arange(order.size)
+    # per pair: the later codewords holding its molecule, next in its list
+    later = ptr[cb.molecules[cb.support_mask] + 1] - rank - 1
+    cost = np.cumsum(np.bincount(row, later, minlength=J) + J)
+    cuts = np.searchsorted(cost, np.arange(0, cost[-1], _SCAN_CELLS), "right")
+    edges = np.unique(np.append(cuts, J)).tolist()
+    first = np.concatenate(([0], np.cumsum(cb.sizes)))
+    best, pair = -1, (0, 1)
+    for i0, i1 in zip(edges[:-1], edges[1:]):
+        a, b = first[i0], first[i1]
+        lens = later[a:b]
+        ends = np.cumsum(lens)
+        # the later entries rank+1 .. rank+lens of each pair, end to end
+        partner = order[np.arange(ends[-1]) + np.repeat(rank[a:b] + 1 - ends + lens, lens)]
+        keys = np.repeat((row[a:b] - i0) * J, lens) + row[partner]
+        weight = np.minimum(np.repeat(mults[a:b], lens), mults[partner])
+        counts = np.bincount(keys, weight, minlength=(i1 - i0) * J).reshape(-1, J)
+        counts[np.arange(J) <= np.arange(i0, i1)[:, None]] = -1  # only j > i count
+        top = counts.max(axis=1)
+        k = int(np.argmax(top))
+        if top[k] > best:
+            best, pair = int(top[k]), (i0 + k, int(np.argmax(counts[k])))
+            if best == cb.scaling.M:
                 break
     return best, pair
 
@@ -240,13 +292,14 @@ def greedy_index_codebook(
         n += 1
         if n == target_J:
             break
-    codewords = tuple(Codeword.from_molecules(row) for row in chosen[:n])
     cb = Codebook(
         scaling,
-        codewords,
         index_based=True,
         group_size=group_size,
         _max_intersection=(best, pair) if n >= 2 else None,
+        molecules=chosen[:n],
+        mults=np.ones((n, M), dtype=np.int64),
+        sizes=np.full(n, M, dtype=np.int64),
     )
     if n < target_J:
         raise ShortfallError(
@@ -303,18 +356,15 @@ def repetition_codebook(
 
     def expand_support(support_cb: Codebook) -> Codebook:
         base, rem = divmod(M, m_prime)
-        codewords = []
-        for cw in support_cb.codewords:
-            pairs = tuple(
-                (mol, base + (1 if k < rem else 0))
-                for k, (mol, _) in enumerate(cw.pairs)
-            )
-            codewords.append(Codeword(pairs))
-        if m_prime == M:
-            return Codebook(
-                scaling, tuple(codewords), index_based=True, group_size=inner // M
-            )
-        return Codebook(scaling, tuple(codewords), index_based=False)
+        mults = base + (np.arange(m_prime) < rem)
+        return Codebook(
+            scaling,
+            index_based=m_prime == M,
+            group_size=inner // M if m_prime == M else None,
+            molecules=support_cb.molecules,
+            mults=np.tile(mults, (len(support_cb), 1)),
+            sizes=support_cb.sizes,
+        )
 
     try:
         support_cb = greedy_index_codebook(
@@ -474,7 +524,7 @@ def codebook_to_dict(cb: Codebook) -> dict:
         "scaling": cb.scaling.to_dict(),
         "index_based": cb.index_based,
         "group_size": cb.group_size,
-        "codewords": [[[mol, mult] for mol, mult in cw.pairs] for cw in cb.codewords],
+        "codewords": [[[m, u] for m, u in zip(*row)] for row in cb._rows()],
     }
 
 
@@ -482,24 +532,30 @@ def codebook_from_dict(d: dict) -> Codebook:
     version = d.get("format_version")
     if version != CODEBOOK_FORMAT_VERSION:
         raise DomainError(f"unsupported codebook format version {version!r}")
-    codewords = tuple(
-        Codeword(tuple((int(mol), int(mult)) for mol, mult in pairs))
-        for pairs in d["codewords"]
-    )
+    molecules, mults, sizes = _arrays(d["codewords"])
     return Codebook(
         scaling=ScalingParams.from_dict(d["scaling"]),
-        codewords=codewords,
         index_based=bool(d["index_based"]),
         group_size=None if d.get("group_size") is None else int(d["group_size"]),
+        molecules=molecules, mults=mults, sizes=sizes,
     )
 
 
 def save_codebook(cb: Codebook, path) -> None:
     """Write cb to path, whole or not at all (a previous file survives a
-    failed write)."""
+    failed write): the bytes of json.dump(codebook_to_dict(cb),
+    sort_keys=True, indent=2) and a newline.  The codewords, one number a
+    line, skip the indenting encoder, which is pure Python."""
+    d = codebook_to_dict(cb)
+    head = json.dumps({**d, "codewords": None}, sort_keys=True, indent=2)
+    pair = "\n      [\n        %d,\n        %d\n      ]"
+    rows = [
+        "\n    [" + ",".join([pair] * len(cw)) % tuple(chain.from_iterable(cw)) + "\n    ]"
+        for cw in d["codewords"]
+    ]
+    text = "[" + ",".join(rows) + "\n  ]" if rows else "[]"
     with atomic_open(path) as fh:
-        json.dump(codebook_to_dict(cb), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(head.replace('"codewords": null', '"codewords": ' + text, 1) + "\n")
 
 
 def load_codebook(path) -> Codebook:

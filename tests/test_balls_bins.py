@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -261,6 +262,25 @@ class TestOccupancyKernel:
         for dtype in (np.int32, np.int64):
             got = distinct_per_row(np.array(rows, dtype=dtype), width)
             assert got.tolist() == [len(set(r)) for r in rows]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_wide_scatter_in_row_blocks(self, data):
+        # a budget of a few rows' flat index forces many blocks
+        width = data.draw(st.integers(65, 120))
+        N = data.draw(st.integers(1, 12))
+        B = data.draw(st.integers(1, 40))
+        rows = data.draw(
+            st.lists(
+                st.lists(st.integers(0, width - 1), min_size=N, max_size=N),
+                min_size=B,
+                max_size=B,
+            )
+        )
+        budget = data.draw(st.integers(1, 8 * N * B))
+        with mock.patch.object(balls_bins, "_SCATTER_BYTES", budget):
+            got = distinct_per_row(np.array(rows, dtype=np.int32), width)
+        assert got.tolist() == [len(set(r)) for r in rows]
 
     def test_distinct_per_row_edges(self):
         assert distinct_per_row(np.zeros((3, 5), dtype=np.int32), 1).tolist() == [1] * 3

@@ -21,7 +21,7 @@ from dnastore.channel import (
     run_trial,
 )
 from dnastore.codebook import Codebook, Codeword, greedy_index_codebook
-from dnastore.errors import DomainError
+from dnastore.errors import CapacityError, DomainError
 from dnastore.params import ScalingParams
 
 
@@ -486,6 +486,68 @@ class TestScoreRoutes:
         assert channel.score_route(cb, none) == "sparse"
         monkeypatch.setattr(channel, "_DENSE_CELLS", 1 << 40)
         assert channel.score_route(cb, none) == "dense"
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(cb=small_codebooks())
+    def test_context_arrays_match_codewords(self, cb):
+        ctx = channel._Context(cb)
+        cws = cb.codewords
+        sizes = np.array([len(cw.pairs) for cw in cws])
+        assert np.array_equal(ctx.expanded, np.stack([cw.expand() for cw in cws]))
+        assert np.array_equal(ctx.support_mask, np.arange(sizes.max()) < sizes[:, None])
+        if (sizes == ctx.M).all():
+            assert ctx.positions is None
+        else:
+            positions = [
+                np.repeat(np.arange(len(cw.pairs)), [m for _, m in cw.pairs])
+                for cw in cws
+            ]
+            assert np.array_equal(ctx.positions, np.stack(positions))
+        assert ctx.inv_ptr.shape == (ctx.inner + 2,)
+        assert ctx.nnz == sizes.sum() == ctx.inv_ptr[-1]
+        for m in range(ctx.inner + 1):
+            holders = [j for j, cw in enumerate(cws) if m in cw.support]
+            assert ctx.inv_idx[ctx.inv_ptr[m] : ctx.inv_ptr[m + 1]].tolist() == holders
+
+
+def shared_molecule_codebook(J=500, M=64, inner=4096, shared=56):
+    """Codewords that share their first `shared` molecules: a read of one
+    of them touches J index entries."""
+    own = M - shared
+    rows = [list(range(shared)) + list(range(shared + own * j, shared + own * (j + 1)))
+            for j in range(J)]
+    sc = ScalingParams(M=M, inner_size=inner, N=M, J=J)
+    return Codebook(sc, tuple(map(Codeword.from_molecules, rows)), False)
+
+
+class TestScoreCapacity:
+    def test_wide_codebook_raises_before_scoring(self):
+        # 400k two-molecule index codewords, built straight from arrays: a
+        # chunk of 256 trials needs 256 x J > 1e8 int64 scores
+        J, group = 400_000, 640
+        k = np.arange(J)
+        cb = Codebook(
+            ScalingParams(M=2, inner_size=2 * group, N=4, J=J),
+            index_based=True,
+            group_size=group,
+            molecules=np.stack([k // group, group + k % group], axis=1),
+            mults=np.ones((J, 2), dtype=np.int64),
+            sizes=np.full(J, 2),
+        )
+        none = SequencingErrorModel.none()
+        assert channel.score_route(cb, none) == "sparse"
+        with pytest.raises(CapacityError, match="256 x 400000 scores"):
+            estimate_error_probability(cb, none, DIST, 256, 1)
+
+    def test_shared_molecules_raise_on_index_entries(self):
+        cb = shared_molecule_codebook()
+        none = SequencingErrorModel.none()
+        assert channel.score_route(cb, none) == "sparse"
+        with pytest.raises(CapacityError, match="index entries"):
+            estimate_error_probability(cb, none, DIST, 10_000, 1)
+        # fewer trials per chunk touch fewer entries
+        assert estimate_error_probability(cb, none, DIST, 500, 1).trials == 500
 
 
 def full_jitter_trials(ctx, model, dec, rng, msgs, N, route):

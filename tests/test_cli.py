@@ -149,6 +149,16 @@ class TestCodebookCommand:
         assert all(cw.size == 16 for cw in cb.codewords)
 
 
+    def test_criterion_11_codebook_round_trip(self, tmp_path):
+        out, again = tmp_path / "cb.json", tmp_path / "again.json"
+        assert main(
+            ["codebook", "--M", "16", "--inner-size", "64", "--N", "32",
+             "--cap", "12", "--target-J", "64", "--seed", "20", "--out", str(out)]
+        ) == 0
+        cbk.save_codebook(load_codebook(out), again)
+        assert again.read_bytes() == out.read_bytes()
+
+
 class TestSimulateCommand:
     def build_cb(self, tmp_path):
         out = tmp_path / "cb.json"
@@ -255,6 +265,44 @@ class TestSimulateCommand:
         )
         assert rc == 0
         assert read_json(out)["report"]["trials"] == 5000  # config applies
+
+
+    def test_loaded_codebook_builds_no_codeword(self, tmp_path, monkeypatch):
+        cb_path = self.build_cb(tmp_path)
+
+        def built(_):
+            raise AssertionError("Codeword built")
+
+        monkeypatch.setattr(cbk.Codeword, "__post_init__", built)
+        for decoder in ("distinct_intersection", "unique_superset"):
+            assert main(
+                ["simulate", "--codebook", str(cb_path), "--model", "random",
+                 "--p", "0.1", "--decoder", decoder, "--trials", "500",
+                 "--out", str(tmp_path / "sim.json")]
+            ) == 0
+        assert main(
+            ["sweep", "--codebook", str(cb_path), "--param", "N", "--values",
+             "6", "12", "--trials", "500", "--out", str(tmp_path / "sweep.json")]
+        ) == 0
+
+    def test_oversized_codebook_exits_4(self, tmp_path):
+        # 500 codewords sharing 56 of their 64 molecules: a chunk's reads
+        # touch more than 1e8 index entries
+        rows = [[[m, 1] for m in range(56)] + [[56 + 8 * j + k, 1] for k in range(8)]
+                for j in range(500)]
+        cb = cbk.codebook_from_dict(
+            {"format_version": 1, "index_based": False, "group_size": None,
+             "scaling": {"M": 64, "inner_size": 4096, "N": 64, "J": 500},
+             "codewords": rows}
+        )
+        cb_path = tmp_path / "cb.json"
+        cbk.save_codebook(cb, cb_path)
+        rc = main(
+            ["simulate", "--codebook", str(cb_path), "--trials", "10000",
+             "--out", str(tmp_path / "sim.json")]
+        )
+        assert rc == 4
+        assert not (tmp_path / "sim.json").exists()
 
 
 class TestSweepCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ from dnastore import codebook as codebook_module
 from dnastore.codebook import (
     Codebook,
     Codeword,
+    codebook_from_dict,
     codebook_to_dict,
     compute_separation_bounds,
     greedy_index_codebook,
@@ -270,7 +272,8 @@ class TestMaxIntersection:
         dense_cb = Codebook(sc, cws, False, validate_distinct=False)
         got = max_pairwise_intersection(index_cb)
         assert got == max_pairwise_intersection(dense_cb)
-        with mock.patch.object(codebook_module, "_DENSE_SCAN_CELLS", 0):
+        # a one-cell budget scans one row per block
+        with mock.patch.object(codebook_module, "_SCAN_CELLS", 1):
             assert got == max_pairwise_intersection(dense_cb)
         best, pair = -1, None
         for i, j in itertools.combinations(range(J), 2):
@@ -278,6 +281,32 @@ class TestMaxIntersection:
             if v > best:
                 best, pair = v, (i, j)
         assert got == (best, pair)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_multiset_scan_matches_pairwise(self, data):
+        M = data.draw(st.integers(2, 6))
+        inner = data.draw(st.integers(M + 1, 3 * M))
+        J = data.draw(st.integers(2, 30))
+        # codewords drawn from a small pool of narrow-window multisets, so
+        # multiplicities exceed 1, supports differ in size and maxima tie
+        mols = st.lists(st.integers(0, min(inner - 1, M)), min_size=M, max_size=M)
+        pool = data.draw(st.lists(mols, min_size=1, max_size=J))
+        picks = data.draw(
+            st.lists(st.integers(0, len(pool) - 1), min_size=J, max_size=J)
+        )
+        cws = tuple(Codeword.from_molecules(pool[k]) for k in picks)
+        cb = Codebook(scaling(M=M, inner=inner, N=2 * M), cws, False, validate_distinct=False)
+        best, pair = -1, None
+        for i, j in itertools.combinations(range(J), 2):
+            v = cws[i].intersection_size(cws[j])
+            if v > best:
+                best, pair = v, (i, j)
+        assert max_pairwise_intersection(cb) == (best, pair)
+        cells = data.draw(st.integers(1, 4 * J))
+        with mock.patch.object(codebook_module, "_SCAN_CELLS", cells):
+            assert max_pairwise_intersection(cb) == (best, pair)
 
 
 class TestK1Bound:
@@ -444,6 +473,90 @@ class TestCodebookValidation:
             Codebook(sc, (cw, cw), False)
 
 
+def v1_dict(sc, codewords, index_based=False, group_size=None):
+    return {
+        "format_version": 1,
+        "scaling": sc.to_dict(),
+        "index_based": index_based,
+        "group_size": group_size,
+        "codewords": codewords,
+    }
+
+
+class TestArrayValidation:
+    """Every check of the stored arrays, reached through codebook_from_dict,
+    which builds no Codeword."""
+
+    @pytest.mark.parametrize(
+        "codewords,index_based,match",
+        [
+            ([[[3, 1], [1, 1]]], False, "strictly increasing"),
+            ([[[1, 1], [1, 1]]], False, "strictly increasing"),
+            ([[[1, 0], [2, 2]]], False, "multiplicities must be positive"),
+            ([[[1, 3]]], False, r"codeword size 3 != M = 2"),
+            ([[[0, 1], [2, 1]], [[0, 1]]], False, r"codeword size 1 != M = 2"),
+            ([[[0, 1], [4, 1]]], False, "out of range"),
+            ([[[-1, 1], [2, 1]]], False, "out of range"),
+            ([[[0, 2]]], True, "must hold M distinct molecules"),
+            ([[[0, 1], [2, 1]], [[0, 1], [1, 1]]], True, r"molecule 1 is not in group 1"),
+            ([[[0, 1], [2, 1]], [[0, 1], [2, 1]]], True, "distinct"),
+            ([[[0, 2]], [[1, 1], [3, 1]], [[0, 2]]], False, "distinct"),
+            ([[[0, 1, 5], [2, 1]]], False, r"\[molecule, multiplicity\]"),
+        ],
+    )
+    def test_each_check_raises(self, codewords, index_based, match):
+        sc = scaling(M=2, inner=4, N=4)
+        group = 2 if index_based else None
+        with pytest.raises(DomainError, match=match):
+            codebook_from_dict(v1_dict(sc, codewords, index_based, group))
+
+    def test_group_size_must_split_inner(self):
+        sc = scaling(M=2, inner=4, N=4)
+        with pytest.raises(DomainError, match="group_size = inner/M"):
+            codebook_from_dict(v1_dict(sc, [[[0, 1], [2, 1]]], True, 3))
+
+    def test_duplicates_allowed_when_asked(self):
+        sc = scaling(M=2, inner=4, N=4)
+        cw = Codeword.from_molecules([0, 0])
+        twin = Codebook(sc, (cw, cw), False, validate_distinct=False)
+        assert len(twin) == 2
+        with pytest.raises(DomainError, match="distinct"):
+            dataclasses.replace(twin, validate_distinct=True)
+
+    def test_codewords_view_matches_the_arrays(self):
+        sc = scaling(M=4, inner=8, N=4)
+        rows = [[[0, 1], [1, 3]], [[2, 4]], [[1, 1], [5, 2], [7, 1]]]
+        cb = codebook_from_dict(v1_dict(sc, rows))
+        assert cb.codewords == tuple(
+            Codeword(tuple(map(tuple, row))) for row in rows
+        )
+        assert cb.sizes.tolist() == [2, 1, 3]
+        assert cb.molecules.tolist() == [[0, 1, -1], [2, -1, -1], [1, 5, 7]]
+        assert cb.mults.tolist() == [[1, 3, 0], [4, 0, 0], [1, 2, 1]]
+        assert codebook_to_dict(cb)["codewords"] == rows
+
+    def test_greedy_builds_no_codeword(self, monkeypatch):
+        def built(_):
+            raise AssertionError("Codeword built")
+
+        monkeypatch.setattr(Codeword, "__post_init__", built)
+        sc = scaling(M=8, inner=32, N=16)
+        cb = greedy_index_codebook(sc, 6, target_J=40, seed=2, attempt_budget=4000)
+        rep = repetition_codebook(scaling(M=16, inner=64, N=16), 0.5, 20, seed=1)
+        cb.max_intersection(), rep.max_intersection()
+        monkeypatch.undo()
+        assert cb.codewords == tuple(map(Codeword.from_molecules, cb.molecules))
+
+    def test_replace_carries_arrays_and_scan(self):
+        sc = scaling(M=8, inner=32, N=16, J=100)
+        cb = greedy_index_codebook(sc, 6, target_J=30, seed=8, attempt_budget=3000)
+        wider = dataclasses.replace(cb, scaling=dataclasses.replace(sc, N=40))
+        assert wider.scaling.N == 40
+        assert wider.molecules is cb.molecules and wider.mults is cb.mults
+        assert wider._max_intersection == cb._max_intersection is not None
+        assert wider.codewords == cb.codewords
+
+
 class TestSerialization:
     def test_round_trip_identity(self, tmp_path):
         sc = scaling(M=8, inner=32, N=16, J=100)
@@ -455,6 +568,27 @@ class TestSerialization:
         path2 = tmp_path / "cb2.json"
         save_codebook(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["index", "repetition", "single", "partial"])
+    def test_save_writes_the_indented_json_bytes(self, tmp_path, kind):
+        sc = scaling(M=8, inner=32, N=16, J=100)
+        if kind == "index":
+            cb = greedy_index_codebook(sc, 6, target_J=25, seed=8, attempt_budget=2500)
+        elif kind == "repetition":
+            cb = repetition_codebook(scaling(M=16, inner=64, N=16), 0.5, 12, seed=4)
+            assert not cb.index_based and cb.mults.max() > 1
+        elif kind == "single":
+            cb = greedy_index_codebook(sc, 6, target_J=1, seed=8, attempt_budget=10)
+        else:
+            with pytest.raises(ShortfallError) as info:
+                greedy_index_codebook(
+                    scaling(M=2, inner=4, N=4), 0, target_J=3, seed=1, attempt_budget=50
+                )
+            cb = info.value.partial
+        path = tmp_path / "cb.json"
+        save_codebook(cb, path)
+        expect = json.dumps(codebook_to_dict(cb), sort_keys=True, indent=2) + "\n"
+        assert path.read_text() == expect
 
     def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
         sc = scaling(M=8, inner=32, N=16, J=100)
