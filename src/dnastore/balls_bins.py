@@ -193,6 +193,13 @@ class DistinctCountSample:
     std_err: np.ndarray
 
 
+def row_bits(values: np.ndarray) -> np.ndarray:
+    """One uint64 word per row of values (B x N): the OR of bit v for each
+    entry v.  Entries of 64 or more set no bit (numpy shifts them out)."""
+    bits = np.left_shift(np.uint64(1), values, dtype=np.uint64, casting="unsafe")
+    return np.bitwise_or.reduce(bits, axis=1)
+
+
 def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
     """Number of distinct entries in each row of values (B x N, every entry
     in [0, width)).
@@ -203,8 +210,7 @@ def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
     flat index, in row blocks whose index fits in _SCATTER_BYTES.  Either
     way the work array holds 8 bytes per entry."""
     if width <= 64:
-        bits = np.left_shift(np.uint64(1), values, dtype=np.uint64, casting="unsafe")
-        return np.bitwise_count(np.bitwise_or.reduce(bits, axis=1)).astype(np.intp)
+        return np.bitwise_count(row_bits(values)).astype(np.intp)
     B = values.shape[0]
     step = max(1, _SCATTER_BYTES // (8 * max(values.shape[1], 1)))
     if B > step:

@@ -23,15 +23,19 @@ estimator runs on wrong trials only (it tallies causes of wrong trials and
 nothing else) and the single-trial functions on their one trial.
 
 Decoder scores (per trial and codeword, the distinct observed molecules the
-codeword holds, or its reads for multiplicity_count) take one of two
-routes, which ``score_route`` picks from the shape alone.  The dense route
+codeword holds, or its reads for multiplicity_count) take one of three
+routes, which ``score_route`` picks from the shape and the rule alone.  Up
+to 64 molecules, the distinct-molecule rules take the bits route: a score
+is the popcount of the trial's observed word ANDed with the codeword's
+support word (one uint64 bit per molecule).  Otherwise the dense route
 multiplies the B x inner observed occupancy by the J x inner support matrix
-in float32; the sparse route looks each observed molecule up in an inverted
-index from molecule to codewords and adds the hits with one bincount, so it
-allocates nothing of size B x inner.  Both are exact: scores are integers
-no larger than N, the index counts them as integers, and float32 holds every
-integer below 2^24 (from 2^24 reads on, score_route always picks the sparse
-route).  The route therefore changes no output, only time and memory.
+in float32, and the sparse route, taken when a trial touches far fewer
+index entries than the product's cells, looks each observed molecule up in
+an inverted index from molecule to codewords and adds the hits with one
+bincount.  All three are exact: scores are integers no larger than N, and
+float32 holds every integer below 2^24 (from 2^24 reads on, score_route
+never picks the dense route).  The route changes no output, only time and
+memory.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls_bins import DEFAULT_CELL_CAP, LOG_ZERO, _log_comb, distinct_per_row
+from .balls_bins import DEFAULT_CELL_CAP, LOG_ZERO, _log_comb, distinct_per_row, row_bits
 from .codebook import Codebook
 from .errors import CapacityError, DomainError
 from .params import ScalingParams
@@ -67,6 +71,9 @@ _SPARSE_RATIO = 1024
 # chunk's B x (inner+1) occupancy arrays or the J x inner support matrix
 # would hold more cells (about 200 MB of chunk arrays for multiplicity_count)
 _DENSE_CELLS = 1 << 24
+
+# cells of the B x J uint64 temporary per row block of the bits route
+_BITS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -208,14 +215,20 @@ class _Context:
         self.support_mask = mask = cb.support_mask
         row, col = np.nonzero(mask)
         mults = cb.mults[mask]
-        self.expanded = np.repeat(cb.molecules[mask], mults).reshape(self.J, self.M)
-        # J x M support position of each expanded molecule; None when no
+        # J x M tables of molecule ids and support positions, int32 below
+        # 2^31 molecules (the erasure sentinel inner included)
+        ids = np.int32 if self.inner < 1 << 31 else np.int64
+        expanded = np.repeat(cb.molecules[mask], mults).reshape(self.J, self.M)
+        self.expanded = expanded.astype(ids)
+        # the support position of each expanded molecule; None when no
         # codeword repeats a molecule, as a draw's position is then its
         # sampling index (skipping the B x N gather saves about 5 % of a
         # criterion-11 chunk)
         self.positions = None
         if (cb.sizes < self.M).any():
-            self.positions = np.repeat(col, mults).reshape(self.J, self.M)
+            self.positions = np.repeat(col, mults).reshape(self.J, self.M).astype(ids)
+        # J uint64 support words of the bits route
+        self.support_bits = row_bits(self.expanded) if self.inner <= 64 else None
         # inverted index (CSR): the codewords holding molecule m, ascending,
         # are inv_idx[inv_ptr[m]:inv_ptr[m + 1]]; the erasure sentinel
         # m = inner holds none
@@ -263,20 +276,28 @@ def _context(cb: Codebook) -> _Context:
 
 
 def score_route(
-    cb: Codebook, model: SequencingErrorModel, n_reads: int | None = None
+    cb: Codebook, model: SequencingErrorModel, rule: str, n_reads: int | None = None
 ) -> str:
-    """Route of the decoder scores for cb under model with n_reads reads
-    per trial (default N); a rule on the shape alone.
-
-    A trial keeps about n_reads reads (n_reads (1-p) under erasures), and
-    each read touches nnz/inner inverted-index entries on average, against
-    inner * J cells of the dense product.  "sparse" sums the index entries
-    into int64 counts; "dense" multiplies by the support matrix in float32,
-    which holds every integer score exactly only below 2^24 reads, so from
-    there on the route is always sparse.  So is it when the dense route's
-    arrays would exceed _DENSE_CELLS cells."""
+    """Route of the decoder scores for cb under model and the decoder rule,
+    with n_reads reads per trial (default N); it depends on no draw."""
     ctx = _context(cb)
-    n = ctx.N if n_reads is None else n_reads
+    return _route(ctx, model, rule, ctx.N if n_reads is None else n_reads)
+
+
+def _route(ctx, model, rule, n) -> str:
+    """score_route on the context, with n reads per trial.
+
+    "bits" serves the distinct-molecule rules whenever the inner codebook
+    has at most 64 molecules.  Otherwise a trial keeps about n reads
+    (n (1-p) under erasures), and each read touches nnz/inner
+    inverted-index entries on average, against inner * J cells of the dense
+    product.  "sparse" sums the index entries into int64 counts; "dense"
+    multiplies by the support matrix in float32, which holds every integer
+    score exactly only below 2^24 reads, so from there on the route is
+    always sparse.  So is it when the dense route's arrays would exceed
+    _DENSE_CELLS cells."""
+    if ctx.inner <= 64 and rule != "multiplicity_count":
+        return "bits"
     kept = n * (1.0 - model.p) if model.kind == "erasure" else n
     dense_cells = max(_chunk_size(ctx.J) * (ctx.inner + 1), ctx.J * ctx.inner)
     if n >= 1 << 24 or dense_cells > _DENSE_CELLS:
@@ -296,6 +317,18 @@ def _scores(ctx, rule, reads, route):
     B = reads.shape[0]
     rows = np.arange(B)
     sizes = None
+    if route == "bits":
+        # one bit per observed molecule; the mask drops the sentinel's bit
+        # (at inner = 64 the sentinel is shifted out of the word already)
+        observed = row_bits(reads) & np.uint64(_MASK64 >> (64 - inner))
+        if rule == "unique_superset":
+            sizes = np.bitwise_count(observed)
+        scores = np.empty((B, J), dtype=np.uint8)
+        step = max(1, _BITS_BLOCK // J)
+        for r in range(0, B, step):
+            block = observed[r : r + step, None] & ctx.support_bits
+            np.bitwise_count(block, out=scores[r : r + step])
+        return scores, sizes
     if route == "dense":
         flat = reads + (rows * (inner + 1))[:, None]
         if rule == "multiplicity_count":
@@ -345,18 +378,22 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     bad."""
     M, inner = ctx.M, ctx.inner
     B = msgs.size
-    rows = np.arange(B)
 
+    # one gather per J x M table through the flat index of each draw; on
+    # Philox and PCG64, int32 draws give the values and the stream of int64
+    # draws, here and for the replacements below
     sample_idx = rng.integers(0, M, size=(B, N), dtype=np.int32)
-    sampled = np.take_along_axis(ctx.expanded[msgs], sample_idx, 1)
+    flat = (msgs * M)[:, None] + sample_idx
+    sampled = ctx.expanded.ravel()[flat]
 
     # clean occupancy over the B x S support positions of the sent codewords
     if ctx.positions is None:
         positions = sample_idx
     else:
-        positions = np.take_along_axis(ctx.positions[msgs], sample_idx, 1)
+        positions = ctx.positions.ravel()[flat]
     distinct_count = distinct_per_row(positions, ctx.support_mask.shape[1])
 
+    # the models select by arithmetic on their masks, not by branching
     cases = None
     if model.kind == "none" or model.p == 0.0:
         if model.kind == "adversarial":
@@ -365,22 +402,24 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
         errors = np.zeros(B, dtype=np.int64)
     elif model.kind == "erasure":
         mask = rng.random((B, N)) < model.p
-        reads = np.where(mask, inner, sampled)  # sentinel molecule marks erasures
+        # the sentinel molecule inner marks erasures; it exceeds every
+        # molecule, so the maximum selects it
+        reads = np.maximum(sampled, np.multiply(mask, inner, dtype=sampled.dtype))
         errors = mask.sum(axis=1)
     elif model.kind == "random":
         mask = rng.random((B, N)) < model.p
-        repl = rng.integers(0, inner, size=(B, N))
-        reads = np.where(mask, repl, sampled)
+        repl = rng.integers(0, inner, size=(B, N), dtype=sampled.dtype)
+        reads = sampled + (repl - sampled) * mask
         errors = (reads != sampled).sum(axis=1)
     else:
         a, b = model.attack_pair
         u = rng.random((B, N))
-        cases = np.zeros((B, N), dtype=np.int8)
-        cases[u < model.p] = 2
-        cases[u < model.p / 2.0] = 1
-        repl_a = ctx.expanded[a][rng.integers(0, M, size=(B, N))]
-        repl_b = ctx.expanded[b][rng.integers(0, M, size=(B, N))]
-        reads = np.where(cases == 1, repl_a, np.where(cases == 2, repl_b, sampled))
+        from_a = u < model.p / 2.0
+        from_b = (u < model.p) & ~from_a
+        cases = from_a + np.int8(2) * from_b
+        repl_a = ctx.expanded[a][rng.integers(0, M, size=(B, N), dtype=np.int32)]
+        repl_b = ctx.expanded[b][rng.integers(0, M, size=(B, N), dtype=np.int32)]
+        reads = sampled + (repl_a - sampled) * from_a + (repl_b - sampled) * from_b
         errors = (reads != sampled).sum(axis=1)
 
     scores, observed_sizes = _scores(ctx, dec.rule, reads, route)
@@ -390,9 +429,9 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
         n_candidates = covering.sum(axis=1)
         decoded = np.where(n_candidates == 1, np.argmax(covering, axis=1), -1)
     else:
+        at_top = scores == scores.max(axis=1)[:, None]
         # the first top codeword, which untied rows decode to
-        decoded = np.argmax(scores, axis=1)
-        at_top = scores == scores[rows, decoded][:, None]
+        decoded = np.argmax(at_top, axis=1)
         n_top = np.count_nonzero(at_top, axis=1)
         tie = n_top > 1
         tied = np.flatnonzero(tie)
@@ -466,12 +505,11 @@ def _failure_cause(tie, errors_ok, coverage_ok):
     return cause
 
 
-def _one_trial(cb, message, model, dec, rng, n_reads) -> TrialOutcome:
+def _one_trial(ctx, message, model, dec, rng, n_reads) -> TrialOutcome:
     """A batch of one through the kernel, as a TrialOutcome."""
     if n_reads < 1:
         raise DomainError("need at least one read")
-    ctx = _context(cb)
-    route = score_route(cb, model, n_reads)
+    route = _route(ctx, model, dec.rule, n_reads)
     msgs = np.array([message])
     batch = _trials(ctx, model, dec, rng, msgs, n_reads, route)
     errors_ok, coverage_ok = _flags(ctx, dec, batch, msgs, np.arange(1))
@@ -514,7 +552,7 @@ def run_trial(
             raise DomainError("attack_pair out of range")
     n = ctx.N if n_reads is None else n_reads
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
-    return _one_trial(cb, message, model, dec, rng, n)
+    return _one_trial(ctx, message, model, dec, rng, n)
 
 
 def adversarial_attack_trial(
@@ -538,7 +576,7 @@ def adversarial_attack_trial(
         dec = DecoderConfig("multiplicity_count")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
     message = (i, j)[int(rng.integers(0, 2))]
-    return _one_trial(cb, message, model, dec, rng, ctx.N if N is None else N)
+    return _one_trial(ctx, message, model, dec, rng, ctx.N if N is None else N)
 
 
 def _chunk_size(J: int) -> int:
@@ -590,7 +628,7 @@ def estimate_error_probability(
     if dec.rule == "unique_superset":
         cb.max_intersection()  # scan once; workers receive it with the codebook
     chunk = _chunk_size(ctx.J)
-    route = score_route(cb, model)
+    route = _route(ctx, model, dec.rule, ctx.N)
     specs = []
     done = 0
     idx = 0

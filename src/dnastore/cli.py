@@ -449,7 +449,7 @@ def cmd_simulate(args) -> int:
     cb, build_cfg = _simulation_codebook(args, config, seed)
     model, dec, trials = _channel_setup(args, config, _picked_p(args, config))
     report = channel.estimate_error_probability(cb, model, dec, trials, seed, workers)
-    route = channel.score_route(cb, model)
+    route = channel.score_route(cb, model, dec.rule)
     bounds = _bound_rows(cb, model, report)
     resolved = {
         "command": "simulate",
@@ -519,7 +519,7 @@ def cmd_sweep(args) -> int:
         report = channel.estimate_error_probability(
             cb, model, dec, trials, seed, workers
         )
-        routes.append(channel.score_route(cb, model))
+        routes.append(channel.score_route(cb, model, dec.rule))
         rows.append(
             {
                 "param": param,

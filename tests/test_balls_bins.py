@@ -302,14 +302,22 @@ class TestOccupancyKernel:
         res = sample_distinct_count(M, N, trials=trials, seed=31, workers=workers)
         assert res.counts.tolist() == reference_counts(M, N, trials, 31).tolist()
 
-    @pytest.mark.parametrize("M", [1, 2, 24, 4096, (1 << 31) - 1])
+    @pytest.mark.parametrize("M", [1, 2, 24, 64, 4096, (1 << 31) - 1])
     def test_int32_draws_keep_the_int64_stream(self, M):
-        a = np.random.Generator(np.random.Philox(key=(9 << 64) | 3))
-        b = np.random.Generator(np.random.Philox(key=(9 << 64) | 3))
-        wide = a.integers(0, M, size=(257, 13))
-        narrow = b.integers(0, M, size=(257, 13), dtype=np.int32)
-        assert np.array_equal(wide, narrow)
-        assert np.array_equal(a.random(17), b.random(17))
+        # the sampler and the trial kernel draw int32 in place of int64 on
+        # Philox, and the kernel's property tests drive it with default_rng
+        for generator in (
+            lambda: np.random.Generator(np.random.Philox(key=(9 << 64) | 3)),
+            lambda: np.random.default_rng(93),
+        ):
+            a, b = generator(), generator()
+            wide = a.integers(0, M, size=(257, 13))
+            narrow = b.integers(0, M, size=(257, 13), dtype=np.int32)
+            assert np.array_equal(wide, narrow)
+            # an odd count of 32-bit words leaves half a word buffered; the
+            # next draws of either width start from it alike
+            assert np.array_equal(a.integers(0, M, 5), b.integers(0, M, 5, dtype=np.int32))
+            assert np.array_equal(a.random(17), b.random(17))
 
     def test_oversized_chunk_raises_before_allocating(self, monkeypatch):
         def no_pool(*args, **kwargs):

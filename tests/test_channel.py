@@ -291,8 +291,16 @@ class TestEstimator:
         assert ctx_ref() is None
 
 
-ROUTES = ("dense", "sparse")
-SCORE_DTYPES = {"dense": np.float32, "sparse": np.int64}
+ROUTES = ("dense", "sparse", "bits")
+SCORE_DTYPES = {"dense": np.float32, "sparse": np.int64, "bits": np.uint8}
+
+
+def routes_for(rule, inner):
+    """The score routes that serve rule at this inner size: the bits route
+    serves the distinct-molecule rules up to 64 molecules."""
+    if rule != "multiplicity_count" and inner <= 64:
+        return ROUTES
+    return ROUTES[:2]
 
 
 def route_models(J):
@@ -344,8 +352,8 @@ def small_codebooks(draw):
 
 
 class TestScoreRoutes:
-    """The sparse (inverted index) and dense (float32 GEMM) score routes
-    against each other and against plain loops."""
+    """The sparse (inverted index), dense (float32 GEMM) and bits (uint64
+    popcount) score routes against each other and against plain loops."""
 
     @settings(max_examples=100, deadline=None)
     @given(cb=small_codebooks(), B=st.integers(1, 10), data=st.data())
@@ -372,7 +380,7 @@ class TestScoreRoutes:
                 ]
             else:
                 expect = [[len(obs & sup) for sup in supports] for obs in observed]
-            for route in ROUTES:
+            for route in routes_for(rule, ctx.inner):
                 scores, sizes = channel._scores(ctx, rule, reads, route)
                 assert scores.dtype == SCORE_DTYPES[route]
                 assert scores.tolist() == expect, (rule, route)
@@ -390,7 +398,7 @@ class TestScoreRoutes:
             for rule in channel.DECODER_RULES:
                 dec = DecoderConfig(rule, epsilon=0.13)
                 runs = []
-                for route in ROUTES:
+                for route in routes_for(rule, ctx.inner):
                     rng = np.random.default_rng(seed)
                     msgs = rng.integers(0, ctx.J, size=B)
                     out = channel._trials(ctx, model, dec, rng, msgs, N, route)
@@ -444,6 +452,9 @@ class TestScoreRoutes:
             codebook.repetition_codebook(
                 ScalingParams(M=16, inner_size=60, N=24, J=8), 0.6, 8, seed=3
             ),
+            greedy_index_codebook(
+                ScalingParams(M=16, inner_size=64, N=32, J=64), 12, 64, 20, 100_000
+            ),
         ]
         decoders = [DecoderConfig(rule, epsilon=0.13) for rule in channel.DECODER_RULES]
         cases = [
@@ -454,7 +465,14 @@ class TestScoreRoutes:
             for seed in range(5)
         ]
         expect = [run_trial(cb, seed % len(cb), m, d, seed) for cb, m, d, seed in cases]
-        monkeypatch.setattr(channel, "score_route", lambda *args: route)
+        shape_route = channel._route
+
+        def forced(ctx, model, rule, n):
+            if route in routes_for(rule, ctx.inner):
+                return route
+            return shape_route(ctx, model, rule, n)
+
+        monkeypatch.setattr(channel, "_route", forced)
         got = [run_trial(cb, seed % len(cb), m, d, seed) for cb, m, d, seed in cases]
         assert got == expect
 
@@ -462,17 +480,40 @@ class TestScoreRoutes:
         wide = greedy_index_codebook(
             ScalingParams(M=8, inner_size=1024, N=16, J=64), 3, 64, 1, 10_000
         )
-        assert channel.score_route(wide, SequencingErrorModel.random(0.5)) == "sparse"
-        # the criterion-11 shape
+        random = SequencingErrorModel.random(0.5)
+        for rule in channel.DECODER_RULES:
+            assert channel.score_route(wide, random, rule) == "sparse"
+        # the criterion-11 shape: 64 molecules fit one word
         narrow = greedy_index_codebook(
             ScalingParams(M=16, inner_size=64, N=32, J=64), 12, 64, 20, 100_000
         )
         for model in route_models(len(narrow)):
-            assert channel.score_route(narrow, model) == "dense"
+            for rule in ("distinct_intersection", "unique_superset"):
+                assert channel.score_route(narrow, model, rule) == "bits"
+            assert channel.score_route(narrow, model, "multiplicity_count") == "dense"
         # float32 stops holding every integer score from 2^24 reads on
-        none = SequencingErrorModel.none()
-        assert channel.score_route(narrow, none, n_reads=(1 << 24) - 1) == "dense"
-        assert channel.score_route(narrow, none, n_reads=1 << 24) == "sparse"
+        none, mult = SequencingErrorModel.none(), "multiplicity_count"
+        assert channel.score_route(narrow, none, mult, n_reads=(1 << 24) - 1) == "dense"
+        assert channel.score_route(narrow, none, mult, n_reads=1 << 24) == "sparse"
+        assert channel.score_route(narrow, none, DIST.rule, n_reads=1 << 24) == "bits"
+
+    @pytest.mark.parametrize("inner", [3, 63, 64])
+    def test_bits_route_drops_the_sentinel(self, inner):
+        # the erasure sentinel inner lies inside the word below 64 molecules
+        # and is shifted out of it at 64; either way it is no molecule
+        supports = [{0, 1}, {inner - 2, inner - 1}, {0, inner - 1}]
+        sc = ScalingParams(M=2, inner_size=inner, N=4, J=len(supports))
+        cb = Codebook(sc, tuple(map(Codeword.from_molecules, supports)), False)
+        ctx = channel._Context(cb)
+        reads = np.array(
+            [[0, inner, 1, inner], [inner] * 4, [inner - 1, inner, inner - 1, 0]],
+            dtype=np.int32,
+        )
+        observed = [{0, 1}, set(), {0, inner - 1}]
+        for rule in ("distinct_intersection", "unique_superset"):
+            scores, sizes = channel._scores(ctx, rule, reads, "bits")
+            assert scores.tolist() == [[len(o & s) for s in supports] for o in observed]
+        assert sizes.tolist() == [2, 0, 2]
 
     def test_dense_route_keeps_to_its_cell_budget(self, monkeypatch):
         # two disjoint codewords of 2^11 molecules out of 2^16: the shape
@@ -483,9 +524,9 @@ class TestScoreRoutes:
         halves = (range(M), range(M, 2 * M))
         cb = Codebook(sc, tuple(map(Codeword.from_molecules, halves)), False)
         none = SequencingErrorModel.none()
-        assert channel.score_route(cb, none) == "sparse"
+        assert channel.score_route(cb, none, DIST.rule) == "sparse"
         monkeypatch.setattr(channel, "_DENSE_CELLS", 1 << 40)
-        assert channel.score_route(cb, none) == "dense"
+        assert channel.score_route(cb, none, DIST.rule) == "dense"
 
 
     @settings(max_examples=100, deadline=None)
@@ -536,14 +577,14 @@ class TestScoreCapacity:
             sizes=np.full(J, 2),
         )
         none = SequencingErrorModel.none()
-        assert channel.score_route(cb, none) == "sparse"
+        assert channel.score_route(cb, none, DIST.rule) == "sparse"
         with pytest.raises(CapacityError, match="256 x 400000 scores"):
             estimate_error_probability(cb, none, DIST, 256, 1)
 
     def test_shared_molecules_raise_on_index_entries(self):
         cb = shared_molecule_codebook()
         none = SequencingErrorModel.none()
-        assert channel.score_route(cb, none) == "sparse"
+        assert channel.score_route(cb, none, DIST.rule) == "sparse"
         with pytest.raises(CapacityError, match="index entries"):
             estimate_error_probability(cb, none, DIST, 10_000, 1)
         # fewer trials per chunk touch fewer entries
@@ -646,7 +687,8 @@ class TestTieBreak:
         for model in route_models(ctx.J):
             for rule in channel.DECODER_RULES:
                 dec = DecoderConfig(rule, epsilon=0.13)
-                route = ROUTES[seed % 2]
+                routes = routes_for(rule, ctx.inner)
+                route = routes[seed % len(routes)]
                 rng = np.random.default_rng(seed)
                 msgs = rng.integers(0, ctx.J, size=B)
                 new = channel._trials(ctx, model, dec, rng, msgs, N, route)
@@ -684,7 +726,7 @@ class TestTieBreak:
         trials = 20_000
         rng = np.random.default_rng(k)
         msgs = np.zeros(trials, dtype=np.int64)
-        route = channel.score_route(cb, model)
+        route = channel.score_route(cb, model, rule)
         out = channel._trials(ctx, model, DecoderConfig(rule), rng, msgs, 8, route)
         assert out["tie"].all()
         freq = np.bincount(out["decoded"], minlength=k) / trials

@@ -219,11 +219,16 @@ class TestSimulateCommand:
             ["codebook", "--M", "8", "--inner-size", "1024", "--N", "16",
              "--target-J", "64", "--cap", "3", "--seed", "1", "--out", str(wide)]
         ) == 0
-        for cb, route in ((narrow, "dense"), (wide, "sparse")):
+        cases = (
+            (narrow, "distinct_intersection", "bits"),
+            (narrow, "multiplicity_count", "dense"),
+            (wide, "distinct_intersection", "sparse"),
+        )
+        for cb, rule, route in cases:
             out = tmp_path / "sim.json"
             assert main(
                 ["simulate", "--codebook", str(cb), "--model", "random", "--p", "0.5",
-                 "--trials", "500", "--out", str(out)]
+                 "--decoder", rule, "--trials", "500", "--out", str(out)]
             ) == 0
             assert read_json(out)["metadata"]["score_route"] == route
 
@@ -347,13 +352,18 @@ class TestSweepCommand:
              "--target-J", "16", "--cap", "6", "--seed", "5", "--out", str(cb_path)]
         ) == 0
         out = tmp_path / "sweep.json"
-        # so few reads survive p = 0.995 erasures that the index beats the GEMM
-        assert main(
-            ["sweep", "--codebook", str(cb_path), "--model", "erasure",
-             "--param", "p", "--values", "0.5", "0.995", "--trials", "500",
-             "--out", str(out)]
-        ) == 0
-        assert read_json(out)["metadata"]["score_route"] == ["dense", "sparse"]
+        # 32 molecules fit one word, whatever survives the erasures; counting
+        # reads, so few survive p = 0.995 that the index beats the GEMM
+        for rule, routes in (
+            ("distinct_intersection", ["bits", "bits"]),
+            ("multiplicity_count", ["dense", "sparse"]),
+        ):
+            assert main(
+                ["sweep", "--codebook", str(cb_path), "--model", "erasure",
+                 "--decoder", rule, "--param", "p", "--values", "0.5", "0.995",
+                 "--trials", "500", "--out", str(out)]
+            ) == 0
+            assert read_json(out)["metadata"]["score_route"] == routes
 
     def test_codebook_loaded_once(self, tmp_path, monkeypatch):
         cb_path = tmp_path / "cb.json"
