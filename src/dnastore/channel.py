@@ -29,13 +29,13 @@ to 64 molecules, the distinct-molecule rules take the bits route: a score
 is the popcount of the trial's observed word ANDed with the codeword's
 support word (one uint64 bit per molecule).  Otherwise the dense route
 multiplies the B x inner observed occupancy by the J x inner support matrix
-in float32, and the sparse route, taken when a trial touches far fewer
-index entries than the product's cells, looks each observed molecule up in
-an inverted index from molecule to codewords and adds the hits with one
-bincount.  All three are exact: scores are integers no larger than N, and
-float32 holds every integer below 2^24 (from 2^24 reads on, score_route
-never picks the dense route).  The route changes no output, only time and
-memory.
+in float32, in row blocks that BLAS runs on the calling thread, and the
+sparse route, taken when a trial touches far fewer index entries than the
+product's cells, looks each observed molecule up in an inverted index from
+molecule to codewords and adds the hits with one bincount.  All three are
+exact: scores are integers no larger than N, and float32 holds every
+integer below 2^24 (from 2^24 reads on, score_route never picks the dense
+route).  The route changes no output, only time and memory.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ _DENSE_CELLS = 1 << 24
 
 # cells of the B x J uint64 temporary per row block of the bits route
 _BITS_BLOCK = 1 << 16
+
+# multiply-adds per row block of the dense route's product, which OpenBLAS
+# runs on the calling thread.  One product per chunk (16,384 x 64 x 64 on
+# the criterion-11 shape) wakes a BLAS worker thread that sleeps between
+# chunks, 0.4 ms per wake on a 2-vCPU VM, and a run's speed then hung on
+# whether the worker was still awake (trials_per_s moved by up to a third
+# from run to run).  Shapes whose one-row product exceeds it keep one
+# product per chunk
+_GEMM_MACS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -339,7 +348,13 @@ def _scores(ctx, rule, reads, route):
         observed = observed.reshape(B, inner + 1)[:, :inner]
         if rule == "unique_superset":
             sizes = observed.sum(axis=1)
-        return observed.astype(np.float32) @ ctx.support_f.T, sizes
+        support_t = ctx.support_f.T
+        step = _GEMM_MACS // (J * inner) or max(B, 1)
+        scores = np.empty((B, J), dtype=np.float32)
+        for r in range(0, B, step):
+            block = observed[r : r + step].astype(np.float32)
+            np.matmul(block, support_t, out=scores[r : r + step])
+        return scores, sizes
     if rule == "multiplicity_count":
         mols = reads.ravel()
         owner = np.repeat(rows, reads.shape[1])
