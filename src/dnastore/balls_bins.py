@@ -23,6 +23,10 @@ DEFAULT_CELL_CAP = 100_000_000
 # bytes of int64 flat index per row block of distinct_per_row's wide scatter
 _SCATTER_BYTES = 1 << 22
 
+# cells per row block of a chunk in the channel's trial kernel, and 8-byte
+# cells per row block of the sampler: a block's arrays stay within a few MB
+_BLOCK_CELLS = 1 << 16
+
 # trials per Monte-Carlo chunk; fixed so that results are independent of the
 # worker count (each chunk derives its stream from (seed, chunk index))
 _CHUNK_TRIALS = 1 << 14
@@ -117,9 +121,11 @@ def distinct_count_dp(
     with np.errstate(divide="ignore"):
         log_stay = np.log(ks / M)  # next ball repeats one of k seen values
         log_grow = np.log((M - ks + 1) / M)  # next ball is new, k-1 -> k
-    for _ in range(N):
-        shifted = np.concatenate(([LOG_ZERO], log_p[:-1] + log_grow[1:]))
-        log_p = np.logaddexp(log_p + log_stay, shifted)
+    # after t + 1 balls, entries above t + 1 are still log 0
+    for t in range(N):
+        top = min(t + 1, kmax) + 1
+        shifted = np.concatenate(([LOG_ZERO], log_p[: top - 1] + log_grow[1:top]))
+        log_p[:top] = np.logaddexp(log_p[:top] + log_stay[:top], shifted)
     return DistinctCountDistribution(M, N, log_p)
 
 
@@ -227,10 +233,16 @@ def _sample_chunk(args) -> np.ndarray:
     key = ((seed & _MASK64) << 64) | chunk_index
     rng = np.random.Generator(np.random.Philox(key=key))
     # on Philox, int32 draws give the values of int64 draws and leave the
-    # generator in the same state for any M below 2^31; the cell cap keeps
-    # M below 1e8
-    draws = rng.integers(0, M, size=(size, N), dtype=np.int32)
-    return np.bincount(distinct_per_row(draws, M), minlength=min(N, M) + 1)
+    # generator in the same state for any M below 2^31 (the cell cap keeps
+    # M below 1e8), and row blocks drawn one after another give the values
+    # of one whole draw
+    counts = np.zeros(min(N, M) + 1, dtype=np.intp)
+    # a trial's draws take at most 12 N + M bytes, and a block 8 per cell
+    step = max(1, 8 * _BLOCK_CELLS // (12 * N + M))
+    for r in range(0, size, step):
+        draws = rng.integers(0, M, size=(min(step, size - r), N), dtype=np.int32)
+        counts += np.bincount(distinct_per_row(draws, M), minlength=counts.size)
+    return counts
 
 
 def sample_distinct_count(
@@ -242,11 +254,13 @@ def sample_distinct_count(
     (seed, chunk index), so results are reproducible and independent of the
     worker count; chunk tallies merge by summation.
 
-    A chunk of B = min(trials, 2^14) trials holds B x N int32 draws, up to 8
-    bytes per draw in distinct_per_row and, above 64 bins, one bool byte per
-    bin: at most B * (12 N + M) bytes.  When B * (N + M) exceeds DEFAULT_CELL_CAP
-    cells the call raises CapacityError before it allocates or starts a
-    worker.
+    A chunk of B = min(trials, 2^14) trials is drawn and counted in row
+    blocks of b trials: b x N int32 draws, up to 8 bytes per draw in
+    distinct_per_row and, above 64 bins, one bool byte per bin, at most
+    b * (12 N + M) bytes, which b keeps within 8 * _BLOCK_CELLS (512 KB)
+    unless one trial alone is larger.  When B * (N + M) exceeds
+    DEFAULT_CELL_CAP cells the call raises CapacityError before it
+    allocates or starts a worker.
     """
     if M < 1:
         raise DomainError("M must be a positive integer")

@@ -17,6 +17,15 @@ trials and unique_superset draw nothing for it.  ``run_trial`` is given its
 message, so its draws start at the sampling indices;
 ``adversarial_attack_trial`` first draws its message coin.
 
+The kernel draws a chunk whole up to the tie-break (int32 indices and
+replacements, the bool masks or int8 cases of the model's uniforms), then
+runs every later stage, the tie-break included, in row blocks of about
+_BLOCK_CELLS cells; bounded draws take the stream one value at a time, so
+the blocks' tie draws are those of one draw after the last block.  A chunk
+thus holds 4 to 19 bytes per read of draws and support positions (and,
+while their masks are made, the 8 of the float64 uniforms) plus one block
+of a few MB, whatever its route.
+
 The kernel returns what every caller reads; the guarantee flags and the
 failure cause come from ``_flags`` and ``_failure_cause``, which the
 estimator runs on wrong trials only (it tallies causes of wrong trials and
@@ -49,7 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls_bins import DEFAULT_CELL_CAP, LOG_ZERO, _log_comb, distinct_per_row, row_bits
+from .balls_bins import _BLOCK_CELLS, DEFAULT_CELL_CAP, LOG_ZERO, _log_comb
+from .balls_bins import distinct_per_row, row_bits
 from .codebook import Codebook
 from .errors import CapacityError, DomainError
 from .params import ScalingParams
@@ -71,9 +81,6 @@ _SPARSE_RATIO = 1024
 # chunk's B x (inner+1) occupancy arrays or the J x inner support matrix
 # would hold more cells (about 200 MB of chunk arrays for multiplicity_count)
 _DENSE_CELLS = 1 << 24
-
-# cells of the B x J uint64 temporary per row block of the bits route
-_BITS_BLOCK = 1 << 16
 
 # multiply-adds per row block of the dense route's product, which OpenBLAS
 # runs on the calling thread.  One product per chunk (16,384 x 64 x 64 on
@@ -307,47 +314,37 @@ def _route(ctx, model, rule, n) -> str:
     _DENSE_CELLS cells."""
     if ctx.inner <= 64 and rule != "multiplicity_count":
         return "bits"
-    kept = n * (1.0 - model.p) if model.kind == "erasure" else n
     dense_cells = max(_chunk_size(ctx.J) * (ctx.inner + 1), ctx.J * ctx.inner)
     if n >= 1 << 24 or dense_cells > _DENSE_CELLS:
         return "sparse"
-    index_entries = kept * ctx.nnz / ctx.inner
+    index_entries = _index_entries(ctx, model, n)
     return "sparse" if ctx.inner * ctx.J > _SPARSE_RATIO * index_entries else "dense"
 
 
-def _scores(ctx, rule, reads, route):
+def _scores(ctx, rule, reads, route, lookups=None):
     """B x J decoder scores of reads (B x N, the sentinel inner marks an
     erasure): per codeword, the distinct observed molecules it holds or,
     for multiplicity_count, the reads it holds.  Also returns the distinct
     observed count per trial for unique_superset, its only reader (None for
-    the other rules).  The sparse route raises CapacityError before it
-    allocates B x J scores and index entries beyond DEFAULT_CELL_CAP cells."""
+    the other rules).  The sparse route adds up the index ranges of
+    lookups, which _lookups gives for reads when the caller passes none."""
     inner, J = ctx.inner, ctx.J
     B = reads.shape[0]
-    rows = np.arange(B)
-    sizes = None
     if route == "bits":
         # one bit per observed molecule; the mask drops the sentinel's bit
         # (at inner = 64 the sentinel is shifted out of the word already)
         observed = row_bits(reads) & np.uint64(_MASK64 >> (64 - inner))
-        if rule == "unique_superset":
-            sizes = np.bitwise_count(observed)
-        scores = np.empty((B, J), dtype=np.uint8)
-        step = max(1, _BITS_BLOCK // J)
-        for r in range(0, B, step):
-            block = observed[r : r + step, None] & ctx.support_bits
-            np.bitwise_count(block, out=scores[r : r + step])
-        return scores, sizes
+        sizes = np.bitwise_count(observed) if rule == "unique_superset" else None
+        return np.bitwise_count(observed[:, None] & ctx.support_bits), sizes
     if route == "dense":
-        flat = reads + (rows * (inner + 1))[:, None]
+        flat = reads + (np.arange(B) * (inner + 1))[:, None]
         if rule == "multiplicity_count":
             observed = np.bincount(flat.ravel(), minlength=B * (inner + 1))
         else:
             observed = np.zeros(B * (inner + 1), dtype=bool)
             observed[flat] = True
         observed = observed.reshape(B, inner + 1)[:, :inner]
-        if rule == "unique_superset":
-            sizes = observed.sum(axis=1)
+        sizes = observed.sum(axis=1) if rule == "unique_superset" else None
         support_t = ctx.support_f.T
         step = _GEMM_MACS // (J * inner) or max(B, 1)
         scores = np.empty((B, J), dtype=np.float32)
@@ -355,30 +352,55 @@ def _scores(ctx, rule, reads, route):
             block = observed[r : r + step].astype(np.float32)
             np.matmul(block, support_t, out=scores[r : r + step])
         return scores, sizes
+    if lookups is None:
+        lookups = _lookups(ctx, rule, reads)
+    owner, start, lens, sizes = lookups
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    # each molecule's index range inv_ptr[m]:inv_ptr[m + 1], laid end to end
+    entries = np.arange(total) + np.repeat(start - ends + lens, lens)
+    keys = np.repeat(owner * J, lens) + ctx.inv_idx[entries]
+    return np.bincount(keys, minlength=B * J).reshape(B, J), sizes
+
+
+def _lookups(ctx, rule, reads):
+    """The inverted-index ranges the sparse route adds up for reads: per
+    range its row of reads, its start in inv_idx and its length, and the
+    distinct observed count per row for unique_superset (else None)."""
+    sizes = None
     if rule == "multiplicity_count":
         mols = reads.ravel()
-        owner = np.repeat(rows, reads.shape[1])
+        owner = np.repeat(np.arange(reads.shape[0]), reads.shape[1])
     else:
         ordered = np.sort(reads, axis=1)
-        first = ordered != inner
+        first = ordered != ctx.inner
         first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
         if rule == "unique_superset":
             sizes = first.sum(axis=1)
         owner, col = np.nonzero(first)
         mols = ordered[owner, col]
     start = ctx.inv_ptr[mols]
-    lens = ctx.inv_ptr[mols + 1] - start
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if ends.size else 0
-    if B * J + total > DEFAULT_CELL_CAP:
-        raise CapacityError(
-            f"a score chunk needs {B} x {J} scores and {total} index entries, "
-            f"above the cap of {DEFAULT_CELL_CAP} cells"
-        )
-    # each molecule's index range inv_ptr[m]:inv_ptr[m + 1], laid end to end
-    entries = np.arange(total) + np.repeat(start - ends + lens, lens)
-    keys = np.repeat(owner * J, lens) + ctx.inv_idx[entries]
-    return np.bincount(keys, minlength=B * J).reshape(B, J), sizes
+    return owner, start, ctx.inv_ptr[mols + 1] - start, sizes
+
+
+def _index_entries(ctx, model, n) -> float:
+    """Inverted-index entries a trial of n reads touches on average: it
+    keeps about n reads (n (1-p) under erasures), each touching nnz/inner."""
+    kept = n * (1.0 - model.p) if model.kind == "erasure" else n
+    return kept * ctx.nnz / ctx.inner
+
+
+def _block_rows(ctx, model, route, n) -> int:
+    """Trials per row block of the kernel's deterministic stages: those of
+    _BLOCK_CELLS cells, a trial counting its n reads, its J scores and, on
+    the sparse route, its index entries or, on the dense route, its
+    inner + 1 occupancy cells, whichever is most."""
+    cells = max(n, ctx.J)
+    if route == "sparse":
+        cells = max(cells, _index_entries(ctx, model, n))
+    elif route == "dense":
+        cells = max(cells, ctx.inner + 1)
+    return max(1, int(_BLOCK_CELLS // cells))
 
 
 def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
@@ -386,81 +408,123 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     error model and the decoder, with draws taken from rng in the order the
     module docstring gives; route is score_route's pick.
 
+    The chunk is drawn whole; the masks of the model's uniforms replace
+    them at once.  Every later stage, and the tie-break draw, runs in row
+    blocks of _block_rows trials, whose per-trial results are joined after
+    the last block.
+
     Returns per-trial arrays: decoded (-1 where unique_superset finds no
     single containing codeword), wrong, distinct, errors, tie and positions
     (trials x N, the support position of each clean draw, which _flags
     reads); the adversarial model adds cases (trials x N), pattern_i and
     bad."""
-    M, inner = ctx.M, ctx.inner
+    M, inner, J = ctx.M, ctx.inner, ctx.J
     B = msgs.size
+    kind = "none" if model.p == 0.0 else model.kind
 
-    # one gather per J x M table through the flat index of each draw; on
-    # Philox and PCG64, int32 draws give the values and the stream of int64
-    # draws, here and for the replacements below
+    # the draws; on Philox and PCG64, int32 draws give the values and the
+    # stream of int64 draws, here and for the replacements below
     sample_idx = rng.integers(0, M, size=(B, N), dtype=np.int32)
-    flat = (msgs * M)[:, None] + sample_idx
-    sampled = ctx.expanded.ravel()[flat]
-
-    # clean occupancy over the B x S support positions of the sent codewords
-    if ctx.positions is None:
-        positions = sample_idx
-    else:
-        positions = ctx.positions.ravel()[flat]
-    distinct_count = distinct_per_row(positions, ctx.support_mask.shape[1])
-
-    # the models select by arithmetic on their masks, not by branching
     cases = None
-    if model.kind == "none" or model.p == 0.0:
-        if model.kind == "adversarial":
-            cases = np.zeros((B, N), dtype=np.int8)
-        reads = sampled
-        errors = np.zeros(B, dtype=np.int64)
-    elif model.kind == "erasure":
+    if kind in ("erasure", "random"):
         mask = rng.random((B, N)) < model.p
-        # the sentinel molecule inner marks erasures; it exceeds every
-        # molecule, so the maximum selects it
-        reads = np.maximum(sampled, np.multiply(mask, inner, dtype=sampled.dtype))
-        errors = mask.sum(axis=1)
-    elif model.kind == "random":
-        mask = rng.random((B, N)) < model.p
-        repl = rng.integers(0, inner, size=(B, N), dtype=sampled.dtype)
-        reads = sampled + (repl - sampled) * mask
-        errors = (reads != sampled).sum(axis=1)
-    else:
-        a, b = model.attack_pair
+    if kind == "random":
+        repl = rng.integers(0, inner, size=(B, N), dtype=ctx.expanded.dtype)
+    elif kind == "adversarial":
         u = rng.random((B, N))
         from_a = u < model.p / 2.0
         from_b = (u < model.p) & ~from_a
+        del u
         cases = from_a + np.int8(2) * from_b
-        repl_a = ctx.expanded[a][rng.integers(0, M, size=(B, N), dtype=np.int32)]
-        repl_b = ctx.expanded[b][rng.integers(0, M, size=(B, N), dtype=np.int32)]
-        reads = sampled + (repl_a - sampled) * from_a + (repl_b - sampled) * from_b
-        errors = (reads != sampled).sum(axis=1)
+        idx_a = rng.integers(0, M, size=(B, N), dtype=np.int32)
+        idx_b = rng.integers(0, M, size=(B, N), dtype=np.int32)
+        target_a, target_b = (ctx.expanded[i] for i in model.attack_pair)
+    elif model.kind == "adversarial":
+        cases = np.zeros((B, N), dtype=np.int8)
 
-    scores, observed_sizes = _scores(ctx, dec.rule, reads, route)
-    tie = np.zeros(B, dtype=bool)
-    if dec.rule == "unique_superset":
-        covering = scores == observed_sizes[:, None]
-        n_candidates = covering.sum(axis=1)
-        decoded = np.where(n_candidates == 1, np.argmax(covering, axis=1), -1)
+    # one gather per J x M table through the flat index of each draw
+    expanded = ctx.expanded.ravel()
+    positions = sample_idx
+    if ctx.positions is not None:
+        position_of = ctx.positions.ravel()
+        positions = np.empty((B, N), dtype=position_of.dtype)
+    S = ctx.support_mask.shape[1]
+    parts = []
+    entries = 0
+    step = _block_rows(ctx, model, route, N) if B > 1 else B
+    for r in range(0, B, step):
+        blk = slice(r, r + step)
+        flat = (msgs[blk] * M)[:, None] + sample_idx[blk]
+        sampled = expanded[flat]
+        # clean occupancy over the support positions of the sent codewords
+        if ctx.positions is not None:
+            np.take(position_of, flat, out=positions[blk])
+        distinct = distinct_per_row(positions[blk], S)
+
+        # the models select by arithmetic on their masks, not by branching
+        if kind == "none":
+            reads = sampled
+            errors = np.zeros(sampled.shape[0], dtype=np.intp)
+        elif kind == "erasure":
+            # the sentinel molecule inner marks erasures; it exceeds every
+            # molecule, so the maximum selects it
+            erased = np.multiply(mask[blk], inner, dtype=sampled.dtype)
+            reads = np.maximum(sampled, erased)
+            errors = mask[blk].sum(axis=1)
+        else:
+            if kind == "random":
+                reads = sampled + (repl[blk] - sampled) * mask[blk]
+            else:
+                reads = sampled + (target_a[idx_a[blk]] - sampled) * from_a[blk]
+                reads += (target_b[idx_b[blk]] - sampled) * from_b[blk]
+            errors = (reads != sampled).sum(axis=1)
+
+        lookups = None
+        if route == "sparse":
+            # the cap counts the chunk's B x J scores and index entries; a
+            # chunk above it is refused after the loop, all its entries
+            # counted, and scores no block past the cap
+            lookups = _lookups(ctx, dec.rule, reads)
+            entries += int(lookups[2].sum())
+            if B * J + entries > DEFAULT_CELL_CAP:
+                continue
+        scores, observed_sizes = _scores(ctx, dec.rule, reads, route, lookups)
+        if dec.rule == "unique_superset":
+            covering = scores == observed_sizes[:, None]
+            n_candidates = covering.sum(axis=1)
+            decoded = np.where(n_candidates == 1, np.argmax(covering, axis=1), -1)
+            tie = np.zeros(decoded.shape, dtype=bool)
+        else:
+            # scores are never NaN, and fmax reduces faster than max
+            at_top = scores == np.fmax.reduce(scores, axis=1)[:, None]
+            # the first top codeword, which untied rows decode to
+            decoded = np.argmax(at_top, axis=1)
+            n_top = np.count_nonzero(at_top, axis=1)
+            tie = n_top > 1
+            tied = np.flatnonzero(tie)
+            if tied.size:
+                # a uniform pick among a tied row's top codewords: the k-th
+                # of them is the first column whose running count exceeds
+                # k.  Bounded draws take the stream one value at a time, so
+                # the blocks' draws are those of one draw after the loop
+                k = rng.integers(0, n_top[tied])
+                ranks = np.cumsum(at_top[tied], axis=1)
+                decoded[tied] = np.argmax(ranks > k[:, None], axis=1)
+        parts.append((decoded, distinct, errors, tie))
+    if route == "sparse" and B * J + entries > DEFAULT_CELL_CAP:
+        raise CapacityError(
+            f"a score chunk needs {B} x {J} scores and {entries} index entries, "
+            f"above the cap of {DEFAULT_CELL_CAP} cells"
+        )
+    if len(parts) == 1:
+        decoded, distinct, errors, tie = parts[0]
     else:
-        at_top = scores == scores.max(axis=1)[:, None]
-        # the first top codeword, which untied rows decode to
-        decoded = np.argmax(at_top, axis=1)
-        n_top = np.count_nonzero(at_top, axis=1)
-        tie = n_top > 1
-        tied = np.flatnonzero(tie)
-        if tied.size:
-            # a uniform pick among a tied row's top codewords: the k-th of
-            # them is the first column whose running count exceeds k
-            k = rng.integers(0, n_top[tied])
-            ranks = np.cumsum(at_top[tied], axis=1)
-            decoded[tied] = np.argmax(ranks > k[:, None], axis=1)
+        decoded, distinct, errors, tie = map(np.concatenate, zip(*parts))
 
     out = {
         "decoded": decoded,
         "wrong": decoded != msgs,
-        "distinct": distinct_count,
+        "distinct": distinct,
         "errors": errors,
         "tie": tie,
         "positions": positions,

@@ -77,6 +77,23 @@ class TestExactDp:
             assert np.isneginf(dist.log_pmf[0])
             assert dist.pmf().sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "M,N", [(1, 7), (5, 0), (7, 3), (3, 7), (24, 36), (60, 40), (160, 240)]
+    )
+    def test_reachable_entries_match_full_recurrence(self, M, N):
+        # the DP updates only the counts reachable after t balls; the full
+        # recurrence over every entry gives the same bytes
+        kmax = min(N, M)
+        log_p = np.full(kmax + 1, -np.inf)
+        log_p[0] = 0.0
+        ks = np.arange(kmax + 1)
+        with np.errstate(divide="ignore"):
+            log_stay, log_grow = np.log(ks / M), np.log((M - ks + 1) / M)
+        for _ in range(N):
+            shifted = np.concatenate(([-np.inf], log_p[:-1] + log_grow[1:]))
+            log_p = np.logaddexp(log_p + log_stay, shifted)
+        assert distinct_count_dp(M, N).log_pmf.tobytes() == log_p.tobytes()
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             distinct_count_dp(100_000, 10_000)
@@ -301,6 +318,34 @@ class TestOccupancyKernel:
         trials = (1 << 14) + 1_234
         res = sample_distinct_count(M, N, trials=trials, seed=31, workers=workers)
         assert res.counts.tolist() == reference_counts(M, N, trials, 31).tolist()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("M,N", [(1, 9), (5, 7), (24, 37), (500, 31)])
+    def test_sampler_row_blocks_match_one_draw(self, M, N, rows):
+        # blocks of one row, and of three (which divide no chunk here), drawn
+        # one after another give the counts of the int64 whole-chunk draw
+        trials = 1_000 + (1 << 14)
+        # the budget whose 8-byte cells hold `rows` trials of 12 N + M bytes
+        budget = -(-rows * (12 * N + M) // 8)
+        with mock.patch.object(balls_bins, "_BLOCK_CELLS", budget):
+            res = sample_distinct_count(M, N, trials=trials, seed=17)
+        assert res.counts.tolist() == reference_counts(M, N, trials, 17).tolist()
+
+    @pytest.mark.parametrize("M", [1, 24, 4096, (1 << 30) + 3])
+    def test_int32_row_blocks_keep_one_draw(self, M):
+        # the sampler's blocks: consecutive int32 draws of odd row length
+        # on Philox give the values and the stream of one whole draw
+        def generator():
+            return np.random.Generator(np.random.Philox(key=(7 << 64) | 2))
+
+        whole, blocked = generator(), generator()
+        expect = whole.integers(0, M, size=(23, 13), dtype=np.int32)
+        got = np.concatenate(
+            [blocked.integers(0, M, size=(min(5, 23 - r), 13), dtype=np.int32)
+             for r in range(0, 23, 5)]
+        )
+        assert np.array_equal(got, expect)
+        assert whole.integers(0, 1 << 62) == blocked.integers(0, 1 << 62)
 
     @pytest.mark.parametrize("M", [1, 2, 24, 64, 4096, (1 << 31) - 1])
     def test_int32_draws_keep_the_int64_stream(self, M):

@@ -1,7 +1,9 @@
 import gc
 import math
 import pickle
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -732,6 +734,112 @@ class TestTieBreak:
         freq = np.bincount(out["decoded"], minlength=k) / trials
         sigma = math.sqrt((1 / k) * (1 - 1 / k) / trials)
         assert np.abs(freq - 1 / k).max() <= 4 * sigma, freq
+
+
+def blocked_runs(ctx, model, dec, seed, B, N, route, block_rows):
+    """(kernel output, next draw of its generator) for each forced count of
+    trials per row block."""
+    runs = []
+    for rows in block_rows:
+        rng = np.random.default_rng(seed)
+        msgs = rng.integers(0, ctx.J, size=B)
+        with mock.patch.object(channel, "_block_rows", lambda *args: rows):
+            out = channel._trials(ctx, model, dec, rng, msgs, N, route)
+        runs.append((out, rng.integers(0, 1 << 62)))
+    return runs
+
+
+def assert_same_runs(runs, what):
+    (first, after), *others = runs
+    for out, next_draw in others:
+        assert out.keys() == first.keys()
+        for key, column in first.items():
+            assert column.dtype == out[key].dtype, (what, key)
+            assert np.array_equal(column, out[key]), (what, key)
+        assert next_draw == after, what
+
+
+class TestRowBlocks:
+    """The kernel's row blocks change no output and no draw: one row per
+    block, a count that does not divide the chunk, and the whole chunk in
+    one block all agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cb=small_codebooks(), B=st.integers(1, 12), seed=st.integers(0, 2**32))
+    def test_outputs_match_across_block_sizes(self, cb, B, seed):
+        ctx = channel._Context(cb)
+        N = cb.scaling.N
+        # 1 row, B (or more) rows, and a count that leaves a remainder
+        block_rows = [1, B + seed % 3, max(2, B // 2 + 1)]
+        for model in route_models(ctx.J):
+            for rule in channel.DECODER_RULES:
+                dec = DecoderConfig(rule, epsilon=0.13)
+                for route in routes_for(rule, ctx.inner):
+                    runs = blocked_runs(ctx, model, dec, seed, B, N, route, block_rows)
+                    assert_same_runs(runs, (model, rule, route))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_tied_rows_across_blocks(self, route):
+        # a repetition (multiset) codebook and an index codebook under every
+        # model, where some rows tie; blocks of 5 rows leave a remainder of
+        # the 64 trials
+        cbs = [
+            codebook.repetition_codebook(
+                ScalingParams(M=16, inner_size=60, N=24, J=8), 0.6, 8, seed=3
+            ),
+            cap_codebook(M=8, inner=64, N=12, cap=6, J=16),
+        ]
+        tied = 0
+        for cb in cbs:
+            ctx = channel._Context(cb)
+            for model in route_models(ctx.J):
+                for rule in channel.DECODER_RULES:
+                    if route not in routes_for(rule, ctx.inner):
+                        continue
+                    dec = DecoderConfig(rule, epsilon=0.13)
+                    runs = blocked_runs(ctx, model, dec, 5, 64, ctx.N, route, [64, 1, 5])
+                    assert_same_runs(runs, (model, rule))
+                    tied += int(runs[0][0]["tie"].sum())
+        assert tied > 0
+
+    def test_capacity_message_counts_the_whole_chunk(self):
+        # refused chunks count every block's index entries, so the message
+        # is that of one whole-chunk block
+        cb = shared_molecule_codebook()
+        none = SequencingErrorModel.none()
+        messages = []
+        for rows in (1 << 30, 7):
+            with mock.patch.object(channel, "_block_rows", lambda *args: rows):
+                with pytest.raises(CapacityError) as err:
+                    estimate_error_probability(cb, none, DIST, 10_000, 1)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_wide_chunk_memory_is_bounded(self):
+        # an index codebook of the mc-wide shape: 500 codewords of 64
+        # molecules out of 4,096.  A 2,000-trial chunk touches about 1.5
+        # million index entries: laid out whole, as before the row blocks,
+        # the estimate peaked at 57 MB; in blocks it takes about 4.4 MB
+        M, group, J = 64, 64, 500
+        rng = np.random.default_rng(5)
+        cb = Codebook(
+            ScalingParams(M=M, inner_size=M * group, N=128, J=J),
+            index_based=True,
+            group_size=group,
+            molecules=rng.integers(0, group, size=(J, M)) + np.arange(M) * group,
+            mults=np.ones((J, M), dtype=np.int64),
+            sizes=np.full(J, M),
+        )
+        model = SequencingErrorModel.random(0.5)
+        # the context's tables are built before tracing: they are no chunk's
+        assert channel.score_route(cb, model, DIST.rule) == "sparse"
+        tracemalloc.start()
+        try:
+            estimate_error_probability(cb, model, DIST, 2_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
 
 
 class TestAdversarialAttack:
