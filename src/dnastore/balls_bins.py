@@ -20,8 +20,9 @@ LOG_ZERO = float("-inf")
 # default resource guard on the occupancy DP (N * M cells)
 DEFAULT_CELL_CAP = 100_000_000
 
-# bytes of int64 flat index per row block of distinct_per_row's wide scatter
-_SCATTER_BYTES = 1 << 22
+# below this surviving mass, the alternating surjection series has lost too
+# many leading digits and the exact integer path takes over
+_CANCEL_FLOOR = 1e-3
 
 # cells per row block of a chunk in the channel's trial kernel, and 8-byte
 # cells per row block of the sampler: a block's arrays stay within a few MB
@@ -33,9 +34,27 @@ _CHUNK_TRIALS = 1 << 14
 
 _MASK64 = (1 << 64) - 1
 
-# below this surviving mass, the alternating surjection series has lost too
-# many leading digits and the exact integer path takes over
-_CANCEL_FLOOR = 1e-3
+
+def chunk_rng(seed: int, index: int) -> np.random.Generator:
+    """The generator of Monte-Carlo chunk index: Philox keyed by the low 64
+    bits of seed above the index, so its stream depends on nothing else."""
+    return np.random.Generator(np.random.Philox(key=((seed & _MASK64) << 64) | index))
+
+
+def map_chunks(fn, head: tuple, trials: int, chunk: int, workers: int) -> list:
+    """fn(head + (index, size)) for each chunk of trials, in chunk order:
+    chunks of chunk trials, only the last one short, run on a pool of
+    workers processes when there are several workers and chunks."""
+    specs = [
+        head + (index, min(chunk, trials - start))
+        for index, start in enumerate(range(0, trials, chunk))
+    ]
+    if workers > 1 and len(specs) > 1:
+        # one chunk per task: batched chunks leave a worker idle when the
+        # batches do not divide evenly among the workers
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, specs))
+    return [fn(spec) for spec in specs]
 
 
 def _log_sum_exp(values) -> float:
@@ -213,15 +232,13 @@ def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
     Up to 64 bins, a row ORs one uint64 bit per entry and counts the set
     bits, which needs neither random writes nor a B x width array; wider
     rows scatter into a flat bool array of one byte per bin through an int64
-    flat index, in row blocks whose index fits in _SCATTER_BYTES.  Either
-    way the work array holds 8 bytes per entry."""
+    flat index.  Either way the work array holds 8 bytes per entry, so the
+    callers bound it by their row blocks: the trial kernel passes at most
+    _BLOCK_CELLS / N rows and the sampler at most 8 _BLOCK_CELLS / (12 N + M)
+    rows, or one row where a single trial is larger."""
     if width <= 64:
         return np.bitwise_count(row_bits(values)).astype(np.intp)
     B = values.shape[0]
-    step = max(1, _SCATTER_BYTES // (8 * max(values.shape[1], 1)))
-    if B > step:
-        blocks = [distinct_per_row(values[r : r + step], width) for r in range(0, B, step)]
-        return np.concatenate(blocks)
     flat = values + (np.arange(B, dtype=np.int64) * width)[:, None]
     seen = np.zeros(B * width, dtype=bool)
     seen[flat] = True
@@ -230,8 +247,7 @@ def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
 
 def _sample_chunk(args) -> np.ndarray:
     M, N, seed, chunk_index, size = args
-    key = ((seed & _MASK64) << 64) | chunk_index
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = chunk_rng(seed, chunk_index)
     # on Philox, int32 draws give the values of int64 draws and leave the
     # generator in the same state for any M below 2^31 (the cell cap keeps
     # M below 1e8), and row blocks drawn one after another give the values
@@ -273,19 +289,7 @@ def sample_distinct_count(
         raise CapacityError(
             f"a sampling chunk needs {cells} cells, above the cap {DEFAULT_CELL_CAP}"
         )
-    specs = []
-    done = 0
-    idx = 0
-    while done < trials:
-        size = min(_CHUNK_TRIALS, trials - done)
-        specs.append((M, N, seed, idx, size))
-        done += size
-        idx += 1
-    if workers > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sample_chunk, specs))
-    else:
-        parts = [_sample_chunk(s) for s in specs]
+    parts = map_chunks(_sample_chunk, (M, N, seed), trials, _CHUNK_TRIALS, workers)
     counts = np.sum(parts, axis=0)
     cdf = np.cumsum(counts) / trials
     std_err = np.sqrt(cdf * (1.0 - cdf) / trials)

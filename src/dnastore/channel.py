@@ -5,7 +5,9 @@ the stored codeword, pushes each read through a sequencing-error model, and
 decodes.  Trials are pure functions of (codebook, config, seed); the
 Monte-Carlo estimator splits trials into fixed-size chunks whose random
 streams depend only on (master seed, chunk index), so estimates are
-reproducible and independent of the worker count.
+reproducible and independent of the worker count.  The chunks, their
+generators and the worker pool come from ``balls_bins.map_chunks`` and
+``balls_bins.chunk_rng``, which the distinct-count sampler uses too.
 
 One kernel, ``_trials``, runs every trial: the estimator calls it on a chunk
 of messages, and ``run_trial`` / ``adversarial_attack_trial`` call it on a
@@ -29,7 +31,10 @@ of a few MB, whatever its route.
 The kernel returns what every caller reads; the guarantee flags and the
 failure cause come from ``_flags`` and ``_failure_cause``, which the
 estimator runs on wrong trials only (it tallies causes of wrong trials and
-nothing else) and the single-trial functions on their one trial.
+nothing else) and the single-trial functions on their one trial.  The
+codebook's separation scan, ``Codebook.max_intersection``, is read only by
+the unique_superset coverage flag and the single-trial separation flag, so
+no other run scans; the context holds no codebook.
 
 Decoder scores (per trial and codeword, the distinct observed molecules the
 codeword holds, or its reads for multiplicity_count) take one of three
@@ -52,14 +57,13 @@ from __future__ import annotations
 import functools
 import math
 import time
-import weakref
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .balls_bins import _BLOCK_CELLS, DEFAULT_CELL_CAP, LOG_ZERO, _log_comb
-from .balls_bins import distinct_per_row, row_bits
+from .balls_bins import _BLOCK_CELLS, _MASK64, DEFAULT_CELL_CAP, LOG_ZERO, _log_comb
+from .balls_bins import chunk_rng, distinct_per_row, map_chunks, row_bits
 from .codebook import Codebook
 from .errors import CapacityError, DomainError
 from .params import ScalingParams
@@ -68,7 +72,6 @@ MODEL_KINDS = ("none", "erasure", "random", "adversarial")
 DECODER_RULES = ("distinct_intersection", "multiplicity_count", "unique_superset")
 FAILURE_CAUSES = ("none", "outage", "collision", "sequencing", "tie")
 
-_MASK64 = (1 << 64) - 1
 _KEY_MASK = (1 << 128) - 1
 
 # score_route takes the sparse route when the dense product's cells per
@@ -203,17 +206,9 @@ class SimulationReport:
 
     def comparable_dict(self) -> dict:
         """All deterministic fields (drops wall time)."""
-        return {
-            "trials": self.trials,
-            "errors": self.errors,
-            "p_hat": self.p_hat,
-            "std_err": self.std_err,
-            "seed": self.seed,
-            "failure_causes": dict(self.failure_causes),
-            "attack_stats": None
-            if self.attack_stats is None
-            else dict(self.attack_stats),
-        }
+        fields = asdict(self)
+        del fields["wall_time_s"]
+        return fields
 
 
 class _Context:
@@ -251,9 +246,6 @@ class _Context:
         self.inv_ptr, order = cb.inverted_index
         self.nnz = order.size
         self.inv_idx = row[order]
-        # weak, or the context would keep its own _CONTEXTS key alive; the
-        # scan is cached on the codebook, so pool workers receive it with it
-        self._cb = weakref.ref(cb)
         try:
             self.r0 = scaling.r0
         except DomainError:
@@ -261,12 +253,6 @@ class _Context:
             self.r0 = math.log(max(self.J, 2)) / (
                 (scaling.alpha - 1.0) * self.M * math.log(self.M)
             )
-
-    @property
-    def cap(self) -> int:
-        """Maximum pairwise intersection.  Only the unique_superset coverage
-        flag and run_trial's separation flag read it, so no other run scans."""
-        return self._cb().max_intersection()[0]
 
     @functools.cached_property
     def support_f(self) -> np.ndarray:
@@ -278,9 +264,7 @@ class _Context:
 
 # one context per live codebook; a context must hold no reference to its
 # codebook, or the weak key never dies and the entry is never freed
-_CONTEXTS: "weakref.WeakKeyDictionary[Codebook, _Context]" = (
-    weakref.WeakKeyDictionary()
-)
+_CONTEXTS: "WeakKeyDictionary[Codebook, _Context]" = WeakKeyDictionary()
 
 
 def _context(cb: Codebook) -> _Context:
@@ -546,11 +530,12 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     return out
 
 
-def _flags(ctx, dec, t, msgs, rows):
+def _flags(ctx, cb, dec, t, msgs, rows):
     """(errors_ok, coverage_ok), the first two guarantee flags, of the trials
-    rows (an index array) of the kernel output t for messages msgs.  The
-    estimator reads flags only through the cause of wrong trials, so it asks
-    for those rows alone."""
+    rows (an index array) of the kernel output t for messages msgs on cb.
+    The estimator reads flags only through the cause of wrong trials, so it
+    asks for those rows alone.  Only the unique_superset coverage flag reads
+    the separation scan, so no other rule scans."""
     M, N = ctx.M, t["positions"].shape[1]
     errors, distinct = t["errors"][rows], t["distinct"][rows]
     eps, eta = dec.epsilon, dec.eta
@@ -570,7 +555,7 @@ def _flags(ctx, dec, t, msgs, rows):
         coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * eps) * M
     else:
         errors_ok = errors == 0
-        coverage_ok = distinct > ctx.cap
+        coverage_ok = distinct > cb.max_intersection()[0]
     return errors_ok, coverage_ok
 
 
@@ -584,14 +569,14 @@ def _failure_cause(tie, errors_ok, coverage_ok):
     return cause
 
 
-def _one_trial(ctx, message, model, dec, rng, n_reads) -> TrialOutcome:
-    """A batch of one through the kernel, as a TrialOutcome."""
+def _one_trial(ctx, cb, message, model, dec, rng, n_reads) -> TrialOutcome:
+    """A batch of one through the kernel on cb, as a TrialOutcome."""
     if n_reads < 1:
         raise DomainError("need at least one read")
     route = _route(ctx, model, dec.rule, n_reads)
     msgs = np.array([message])
     batch = _trials(ctx, model, dec, rng, msgs, n_reads, route)
-    errors_ok, coverage_ok = _flags(ctx, dec, batch, msgs, np.arange(1))
+    errors_ok, coverage_ok = _flags(ctx, cb, dec, batch, msgs, np.arange(1))
     cause = _failure_cause(batch["tie"], errors_ok, coverage_ok)[0]
     t = {key: column[0] for key, column in batch.items()}
     decoded = int(t["decoded"])
@@ -604,13 +589,18 @@ def _one_trial(ctx, message, model, dec, rng, n_reads) -> TrialOutcome:
         guarantee_flags=(
             bool(errors_ok[0]),
             bool(coverage_ok[0]),
-            bool(ctx.cap < (ctx.r0 + dec.epsilon) * ctx.M),
+            bool(cb.max_intersection()[0] < (ctx.r0 + dec.epsilon) * ctx.M),
         ),
         failure_cause=FAILURE_CAUSES[cause if t["wrong"] else 0],
         tie_broken=bool(t["tie"]),
         attack_cases=tuple(int(c) for c in t["cases"]) if "cases" in t else None,
         attack_bad_event=bool(t["bad"]) if "bad" in t else None,
     )
+
+
+def _check_attack_pair(model: SequencingErrorModel, J: int) -> None:
+    if model.kind == "adversarial" and not all(0 <= m < J for m in model.attack_pair):
+        raise DomainError("attack_pair out of range")
 
 
 def run_trial(
@@ -625,13 +615,10 @@ def run_trial(
     ctx = _context(cb)
     if not 0 <= message < ctx.J:
         raise DomainError(f"message {message} out of range for {ctx.J} codewords")
-    if model.kind == "adversarial":
-        a, b = model.attack_pair
-        if not (0 <= a < ctx.J and 0 <= b < ctx.J):
-            raise DomainError("attack_pair out of range")
+    _check_attack_pair(model, ctx.J)
     n = ctx.N if n_reads is None else n_reads
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
-    return _one_trial(ctx, message, model, dec, rng, n)
+    return _one_trial(ctx, cb, message, model, dec, rng, n)
 
 
 def adversarial_attack_trial(
@@ -655,7 +642,7 @@ def adversarial_attack_trial(
         dec = DecoderConfig("multiplicity_count")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
     message = (i, j)[int(rng.integers(0, 2))]
-    return _one_trial(ctx, message, model, dec, rng, ctx.N if N is None else N)
+    return _one_trial(ctx, cb, message, model, dec, rng, ctx.N if N is None else N)
 
 
 def _chunk_size(J: int) -> int:
@@ -664,14 +651,13 @@ def _chunk_size(J: int) -> int:
 
 def _estimate_chunk(spec):
     """Error, cause and attack tallies of one chunk of uniform-message trials."""
-    cb, model, dec, master_seed, chunk_index, size, route = spec
+    cb, model, dec, route, master_seed, chunk_index, size = spec
     ctx = _context(cb)
-    key = ((master_seed & _MASK64) << 64) | chunk_index
-    rng = np.random.Generator(np.random.Philox(key=key))
+    rng = chunk_rng(master_seed, chunk_index)
     msgs = rng.integers(0, ctx.J, size=size)
     t = _trials(ctx, model, dec, rng, msgs, ctx.N, route)
     wrong = np.flatnonzero(t["wrong"])
-    cause = _failure_cause(t["tie"][wrong], *_flags(ctx, dec, t, msgs, wrong))
+    cause = _failure_cause(t["tie"][wrong], *_flags(ctx, cb, dec, t, msgs, wrong))
     cause_counts = np.bincount(cause, minlength=len(FAILURE_CAUSES))
     cause_counts[0] = size - wrong.size
     attack = None
@@ -699,28 +685,13 @@ def estimate_error_probability(
     if trials < 1:
         raise DomainError("trials must be positive")
     ctx = _context(cb)
-    if model.kind == "adversarial":
-        a, b = model.attack_pair
-        if not (0 <= a < ctx.J and 0 <= b < ctx.J):
-            raise DomainError("attack_pair out of range")
+    _check_attack_pair(model, ctx.J)
     start = time.perf_counter()
     if dec.rule == "unique_superset":
         cb.max_intersection()  # scan once; workers receive it with the codebook
-    chunk = _chunk_size(ctx.J)
     route = _route(ctx, model, dec.rule, ctx.N)
-    specs = []
-    done = 0
-    idx = 0
-    while done < trials:
-        size = min(chunk, trials - done)
-        specs.append((cb, model, dec, master_seed, idx, size, route))
-        done += size
-        idx += 1
-    if workers > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_estimate_chunk, specs, chunksize=4))
-    else:
-        parts = [_estimate_chunk(s) for s in specs]
+    head = (cb, model, dec, route, master_seed)
+    parts = map_chunks(_estimate_chunk, head, trials, _chunk_size(ctx.J), workers)
     errors = sum(p[0] for p in parts)
     cause_counts = np.sum([p[1] for p in parts], axis=0)
     attack_stats = None

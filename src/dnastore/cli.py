@@ -187,8 +187,8 @@ def cmd_occupancy(args) -> int:
     limit = exponents.exponent_multinomial(exponents.ExponentParams(c, delta)).f_value
     rows = []
     for M in grid:
-        N = max(1, math.floor(c * M + 0.5))
-        K = min(M, math.floor(delta * M + 0.5))
+        N = max(1, balls_bins._half_up(c * M))
+        K = min(M, balls_bins._half_up(delta * M))
         log_p = balls_bins.p_occupancy(balls_bins.OccupancyQuery(N=N, M=M, K=K), cell_cap)
         # K = 0 with N >= 1 is a degenerate zero-probability row; emitted
         # as-is but excluded from the convergence summary
@@ -270,8 +270,9 @@ def _build_codebook(args, config, seed: int) -> tuple[cbk.Codebook, dict, object
     budget = int(_pick(args, config, "budget", max(100 * target_j, 10_000)))
     kind = _pick(args, config, "kind", "index")
     t = _pick(args, config, "t")
-    p_seq = float(_pick(args, config, "p", 0.0) or 0.0)
-    scaling = ScalingParams(M=M, inner_size=inner, N=N, J=target_j, p_seq=p_seq)
+    scaling = ScalingParams(
+        M=M, inner_size=inner, N=N, J=target_j, p_seq=_picked_p(args, config)
+    )
     resolved = {
         "M": M,
         "inner_size": inner,
@@ -502,6 +503,9 @@ def cmd_sweep(args) -> int:
         raise DomainError("sweep needs --values")
     if param not in ("p", "N"):
         raise DomainError("sweep parameter must be one of: p, N")
+    for value in values if param == "N" else ():
+        if not float(value).is_integer():
+            raise DomainError(f"sweep over N needs integer values, got {value}")
     cb, _ = _simulation_codebook(args, config, seed)
     if param == "N":
         model, dec, trials = _channel_setup(args, config, _picked_p(args, config))

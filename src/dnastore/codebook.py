@@ -23,6 +23,7 @@ from itertools import chain
 import numpy as np
 
 from ._files import atomic_open
+from .balls_bins import _half_up
 from .errors import DomainError, ShortfallError
 from .params import ScalingParams
 
@@ -33,10 +34,6 @@ _ROUND_GUARD = 1e-9
 
 # cells per block of the separation scan: its rows x J counts and updates
 _SCAN_CELLS = 1 << 19
-
-
-def _half_up(x: float) -> int:
-    return math.floor(x + 0.5)
 
 
 @dataclass(frozen=True)
@@ -253,10 +250,8 @@ def greedy_index_codebook(
     an accepted codeword exceeds intersection_cap.
 
     Duplicates of accepted codewords are always rejected, so the effective
-    cap is min(intersection_cap, M-1).  The codebook carries the exact
-    max_intersection() result, kept while accepting codewords, so it is
-    never rescanned.  Raises ShortfallError carrying the partial codebook if
-    the budget runs out first.
+    cap is min(intersection_cap, M-1).  Raises ShortfallError carrying the
+    partial codebook if the budget runs out first.
     """
     M, inner = scaling.M, scaling.inner_size
     if inner % M != 0:
@@ -275,19 +270,10 @@ def greedy_index_codebook(
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     chosen = np.empty((target_J, M), dtype=np.int64)
     n = 0
-    # the separation scan's result, kept as codewords are accepted: the
-    # largest agreement and its lexicographically smallest pair
-    best, pair = -1, (0, 1)
     for _ in range(attempt_budget):
         cand = offsets + rng.integers(0, group_size, size=M)
-        if n:
-            agree = (chosen[:n] == cand).sum(axis=1)
-            top = int(agree.max())
-            if top > effective_cap:
-                continue
-            first = int(np.argmax(agree))
-            if top > best or (top == best and first < pair[0]):
-                best, pair = top, (first, n)
+        if n and (chosen[:n] == cand).sum(axis=1).max() > effective_cap:
+            continue
         chosen[n] = cand
         n += 1
         if n == target_J:
@@ -296,7 +282,6 @@ def greedy_index_codebook(
         scaling,
         index_based=True,
         group_size=group_size,
-        _max_intersection=(best, pair) if n >= 2 else None,
         molecules=chosen[:n],
         mults=np.ones((n, M), dtype=np.int64),
         sizes=np.full(n, M, dtype=np.int64),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnastore import balls_bins
+from dnastore import balls_bins, channel
 from dnastore.balls_bins import (
     LOG_ZERO,
     DistinctCountDistribution,
@@ -17,13 +17,16 @@ from dnastore.balls_bins import (
     distinct_count_dp,
     distinct_per_row,
     empirical_exponent,
+    map_chunks,
     p_occupancy,
     p_via_identity,
     q_surjection,
     sample_distinct_count,
 )
+from dnastore.codebook import greedy_index_codebook
 from dnastore.errors import CapacityError, DomainError
 from dnastore.exponents import ExponentParams, exponent_multinomial
+from dnastore.params import ScalingParams
 
 
 def brute_force_pmf(M, N):
@@ -222,6 +225,25 @@ class TestIdentityRoute:
             assert log_close(p_via_identity(OccupancyQuery(N=N, M=M, K=K)), expected, 1e-9)
 
 
+def echo(spec):
+    return spec
+
+
+class TestChunks:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_map_chunks_covers_the_trials_in_order(self, data):
+        chunk = data.draw(st.integers(1, 6))
+        trials = data.draw(st.integers(1, 3 * chunk + 5))
+        got = map_chunks(echo, ("head", 7), trials, chunk, 1)
+        assert all(spec[:2] == ("head", 7) for spec in got)
+        assert [spec[2] for spec in got] == list(range(len(got)))
+        sizes = [spec[3] for spec in got]
+        assert sum(sizes) == trials
+        assert set(sizes[:-1]) <= {chunk} and 1 <= sizes[-1] <= chunk
+        assert map_chunks(echo, ("head", 7), trials, chunk, 2) == got
+
+
 class TestSampling:
     def test_two_by_two_matches_half(self):
         res = sample_distinct_count(2, 2, trials=200_000, seed=11)
@@ -280,24 +302,30 @@ class TestOccupancyKernel:
             got = distinct_per_row(np.array(rows, dtype=dtype), width)
             assert got.tolist() == [len(set(r)) for r in rows]
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.data())
-    def test_wide_scatter_in_row_blocks(self, data):
-        # a budget of a few rows' flat index forces many blocks
-        width = data.draw(st.integers(65, 120))
-        N = data.draw(st.integers(1, 12))
-        B = data.draw(st.integers(1, 40))
-        rows = data.draw(
-            st.lists(
-                st.lists(st.integers(0, width - 1), min_size=N, max_size=N),
-                min_size=B,
-                max_size=B,
-            )
+    def test_callers_bound_the_wide_scatter(self, monkeypatch):
+        # distinct_per_row builds an 8-byte flat index per entry above 64
+        # bins; the kernel's and the sampler's row blocks keep each call
+        # within 2^19 entries (4 MB), where one whole chunk is over 2^21
+        calls = []
+
+        def recording(values, width):
+            calls.append((width, values.size))
+            return distinct_per_row(values, width)
+
+        monkeypatch.setattr(balls_bins, "distinct_per_row", recording)
+        monkeypatch.setattr(channel, "distinct_per_row", recording)
+        sc = ScalingParams(M=72, inner_size=144, N=144, J=20)
+        cb = greedy_index_codebook(sc, 71, 20, seed=1, attempt_budget=100)
+        dec = channel.DecoderConfig("distinct_intersection")
+        channel.estimate_error_probability(
+            cb, channel.SequencingErrorModel.none(), dec, 20_000, 3
         )
-        budget = data.draw(st.integers(1, 8 * N * B))
-        with mock.patch.object(balls_bins, "_SCATTER_BYTES", budget):
-            got = distinct_per_row(np.array(rows, dtype=np.int32), width)
-        assert got.tolist() == [len(set(r)) for r in rows]
+        kernel, calls[:] = calls[:], []
+        sample_distinct_count(100, 150, trials=(1 << 14) + 5, seed=3)
+        for made in (kernel, calls):
+            assert made and all(width > 64 for width, _ in made)
+            assert sum(size for _, size in made) > 1 << 21
+            assert max(size for _, size in made) <= 1 << 19
 
     def test_distinct_per_row_edges(self):
         assert distinct_per_row(np.zeros((3, 5), dtype=np.int32), 1).tolist() == [1] * 3

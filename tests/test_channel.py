@@ -246,22 +246,6 @@ class TestEstimator:
         assert p_none <= p_erasure + slack
         assert p_random <= p_attack + slack
 
-    def test_workers_receive_the_cached_scan(self, monkeypatch):
-        cb = cap_codebook(J=8)
-        model = SequencingErrorModel.random(0.2)
-        one = estimate_error_probability(cb, model, DIST, 40_000, 4, workers=1)
-        copy = pickle.loads(pickle.dumps(cb))
-        assert copy._max_intersection == cb.max_intersection()
-
-        def rescan(_):
-            raise AssertionError("separation scan repeated")
-
-        monkeypatch.setattr(codebook, "max_pairwise_intersection", rescan)
-        assert channel._Context(copy).cap == cb.max_intersection()[0]
-        monkeypatch.undo()
-        two = estimate_error_probability(cb, model, DIST, 40_000, 4, workers=2)
-        assert one.comparable_dict() == two.comparable_dict()
-
     def test_superset_estimate_ships_the_scan(self, monkeypatch):
         # a loaded codebook carries no scan; a unique_superset estimate scans
         # once up front, so the codebook pickled to pool workers carries it.
@@ -280,7 +264,7 @@ class TestEstimator:
             raise AssertionError("separation scan repeated")
 
         monkeypatch.setattr(codebook, "max_pairwise_intersection", rescan)
-        assert channel._Context(copy).cap == copy._max_intersection[0]
+        assert copy.max_intersection() == cb.max_intersection()
 
     def test_context_freed_with_its_codebook(self):
         cb = cap_codebook(J=8)
@@ -404,7 +388,7 @@ class TestScoreRoutes:
                     rng = np.random.default_rng(seed)
                     msgs = rng.integers(0, ctx.J, size=B)
                     out = channel._trials(ctx, model, dec, rng, msgs, N, route)
-                    flags = channel._flags(ctx, dec, out, msgs, np.arange(B))
+                    flags = channel._flags(ctx, cb, dec, out, msgs, np.arange(B))
                     out["errors_ok"], out["coverage_ok"] = flags
                     runs.append(out)
                 for other in runs[1:]:
@@ -444,7 +428,7 @@ class TestScoreRoutes:
         gathered = counts0[rows[:, None], padded[msgs]]
         undersampled = ((gathered <= dec.eta * N / M) & mask[msgs]).sum(axis=1)
         coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * dec.epsilon) * M
-        flags = channel._flags(ctx, dec, out, msgs, np.arange(B))
+        flags = channel._flags(ctx, cb, dec, out, msgs, np.arange(B))
         assert flags[1].tolist() == coverage_ok.tolist()
 
     @pytest.mark.parametrize("route", ROUTES)
@@ -593,7 +577,7 @@ class TestScoreCapacity:
         assert estimate_error_probability(cb, none, DIST, 500, 1).trials == 500
 
 
-def full_jitter_trials(ctx, model, dec, rng, msgs, N, route):
+def full_jitter_trials(ctx, cb, model, dec, rng, msgs, N, route):
     """The kernel as it was before the tie-break drew for tied rows only:
     every row adds one jitter uniform per codeword to its scores and takes
     the argmax, and flags and causes are computed for every row.  Kept here
@@ -656,7 +640,7 @@ def full_jitter_trials(ctx, model, dec, rng, msgs, N, route):
         coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * eps) * M
     else:
         errors_ok = errors == 0
-        coverage_ok = distinct_count > ctx.cap
+        coverage_ok = distinct_count > cb.max_intersection()[0]
     cause = np.zeros(B, dtype=np.int8)
     cause[wrong] = 2
     cause[wrong & ~errors_ok] = 3
@@ -696,10 +680,10 @@ class TestTieBreak:
                 new = channel._trials(ctx, model, dec, rng, msgs, N, route)
                 rng = np.random.default_rng(seed)
                 rng.integers(0, ctx.J, size=B)
-                old = full_jitter_trials(ctx, model, dec, rng, msgs, N, route)
+                old = full_jitter_trials(ctx, cb, model, dec, rng, msgs, N, route)
                 for key in ("tie", "distinct", "errors"):
                     assert np.array_equal(new[key], old[key]), (model, rule, key)
-                flags = channel._flags(ctx, dec, new, msgs, rows)
+                flags = channel._flags(ctx, cb, dec, new, msgs, rows)
                 assert np.array_equal(flags[0], old["errors_ok"])
                 assert np.array_equal(flags[1], old["coverage_ok"])
                 untied = ~new["tie"]
@@ -711,7 +695,7 @@ class TestTieBreak:
                 wrong = np.flatnonzero(new["wrong"])
                 cause = np.zeros(B, dtype=np.int8)
                 cause[wrong] = channel._failure_cause(
-                    new["tie"][wrong], *channel._flags(ctx, dec, new, msgs, wrong)
+                    new["tie"][wrong], *channel._flags(ctx, cb, dec, new, msgs, wrong)
                 )
                 same = new["wrong"] == old["wrong"]
                 assert np.array_equal(cause[same], old["cause"][same])

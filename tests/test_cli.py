@@ -148,6 +148,25 @@ class TestCodebookCommand:
         cb = load_codebook(out)
         assert all(cw.size == 16 for cw in cb.codewords)
 
+    @pytest.mark.parametrize(
+        "build, rc",
+        [
+            (["--M", "8", "--inner-size", "32", "--N", "16", "--target-J", "30",
+              "--cap", "6", "--seed", "5"], 0),
+            (["--kind", "repetition", "--M", "16", "--inner-size", "64", "--N",
+              "32", "--t", "0.5", "--target-J", "10"], 0),
+            (["--M", "4", "--inner-size", "8", "--N", "8", "--target-J", "50",
+              "--cap", "2", "--budget", "2000", "--seed", "3"], 3),
+        ],
+        ids=["index", "repetition", "shortfall"],
+    )
+    def test_report_scans_the_saved_file(self, tmp_path, build, rc):
+        out = tmp_path / "cb.json"
+        assert main(["codebook", *build, "--out", str(out)]) == rc
+        report = read_json(str(out) + ".report.json")["report"]
+        value, witness = cbk.max_pairwise_intersection(load_codebook(out))
+        assert report["max_intersection"] == value
+        assert report["witness_pair"] == list(witness)
 
     def test_criterion_11_codebook_round_trip(self, tmp_path):
         out, again = tmp_path / "cb.json", tmp_path / "again.json"
@@ -385,6 +404,17 @@ class TestSweepCommand:
         )
         assert rc == 0
         assert len(loads) == 1
+
+    def test_n_values_must_be_integers(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        rc = main(
+            ["sweep", "--M", "8", "--inner-size", "32", "--N", "8", "--target-J",
+             "8", "--cap", "7", "--param", "N", "--values", "4", "12.7",
+             "--out", str(out)]
+        )
+        assert rc == 2
+        assert "12.7" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_needs_values(self, tmp_path):
         rc = main(["sweep", "--param", "p", "--out", str(tmp_path / "x.json")])
