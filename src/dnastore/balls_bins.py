@@ -25,7 +25,9 @@ DEFAULT_CELL_CAP = 100_000_000
 _CANCEL_FLOOR = 1e-3
 
 # cells per row block of a chunk in the channel's trial kernel, and 8-byte
-# cells per row block of the sampler: a block's arrays stay within a few MB
+# cells per row block of the sampler: a block's arrays stay within a few MB.
+# The sampler's counts depend on this constant, as its uint16 draws follow
+# its row blocks; the kernel's outputs do not
 _BLOCK_CELLS = 1 << 16
 
 # trials per Monte-Carlo chunk; fixed so that results are independent of the
@@ -226,8 +228,9 @@ def row_bits(values: np.ndarray) -> np.ndarray:
 
 
 def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
-    """Number of distinct entries in each row of values (B x N, every entry
-    in [0, width)).
+    """Number of distinct entries in each row of values (B x N integers of
+    any width, every entry in [0, width)): the sampler passes uint16 or
+    int32 draws, the trial kernel int32 or int64 indices.
 
     Up to 64 bins, a row ORs one uint64 bit per entry and counts the set
     bits, which needs neither random writes nor a B x width array; wider
@@ -248,15 +251,18 @@ def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
 def _sample_chunk(args) -> np.ndarray:
     M, N, seed, chunk_index, size = args
     rng = chunk_rng(seed, chunk_index)
-    # on Philox, int32 draws give the values of int64 draws and leave the
-    # generator in the same state for any M below 2^31 (the cell cap keeps
-    # M below 1e8), and row blocks drawn one after another give the values
-    # of one whole draw
+    # up to 2^16 bins, numpy draws uint16 values by Lemire's rejection on
+    # 16-bit lanes, four per Philox word; it keeps a half-used lane only
+    # within one call, so the stream is the row blocks' draws in order.
+    # Above 2^16, int32 draws give the values and the stream of one whole
+    # int64 draw, blocked or not (the cell cap keeps M below 1e8)
+    dtype = np.uint16 if M <= 1 << 16 else np.int32
     counts = np.zeros(min(N, M) + 1, dtype=np.intp)
-    # a trial's draws take at most 12 N + M bytes, and a block 8 per cell
+    # a trial takes at most 12 N + M bytes (10 N + M with uint16 draws), and
+    # a block 8 per cell
     step = max(1, 8 * _BLOCK_CELLS // (12 * N + M))
     for r in range(0, size, step):
-        draws = rng.integers(0, M, size=(min(step, size - r), N), dtype=np.int32)
+        draws = rng.integers(0, M, size=(min(step, size - r), N), dtype=dtype)
         counts += np.bincount(distinct_per_row(draws, M), minlength=counts.size)
     return counts
 
@@ -271,12 +277,15 @@ def sample_distinct_count(
     worker count; chunk tallies merge by summation.
 
     A chunk of B = min(trials, 2^14) trials is drawn and counted in row
-    blocks of b trials: b x N int32 draws, up to 8 bytes per draw in
+    blocks of b = max(1, 8 * _BLOCK_CELLS // (12 N + M)) trials: b x N
+    draws (uint16 up to 2^16 bins, int32 above), up to 8 bytes per draw in
     distinct_per_row and, above 64 bins, one bool byte per bin, at most
     b * (12 N + M) bytes, which b keeps within 8 * _BLOCK_CELLS (512 KB)
-    unless one trial alone is larger.  When B * (N + M) exceeds
-    DEFAULT_CELL_CAP cells the call raises CapacityError before it
-    allocates or starts a worker.
+    unless one trial alone is larger.  Up to 2^16 bins the counts depend on
+    b, since each block drops the unused half of its last 32-bit lane;
+    above 2^16 they equal those of one whole int64 draw per chunk.  When
+    B * (N + M) exceeds DEFAULT_CELL_CAP cells the call raises CapacityError
+    before it allocates or starts a worker.
     """
     if M < 1:
         raise DomainError("M must be a positive integer")

@@ -218,7 +218,7 @@ def cmd_occupancy(args) -> int:
         "delta": delta,
         "M_grid": grid,
         "cell_cap": cell_cap,
-        "rounding": "half-up, clamped to >= 1",
+        "rounding": "half-up; N clamped to >= 1, K to <= M",
         "seed": _pick(args, config, "seed"),
     }
     _write_table(

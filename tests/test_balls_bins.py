@@ -268,11 +268,35 @@ class TestSampling:
             sigma = math.sqrt(max(truth * (1 - truth), 1e-12) / res.trials)
             assert abs(res.cdf[K] - truth) <= 4.0 * sigma + 1e-9
 
+    @pytest.mark.parametrize(
+        "M,N,trials",
+        [
+            # uint16 lanes where numpy never rejects, and the int32 draws just
+            # above them: one chunk of as many trials as the cell cap allows
+            (1 << 16, 300, balls_bins.DEFAULT_CELL_CAP // ((1 << 16) + 300)),
+            ((1 << 16) + 1, 300, balls_bins.DEFAULT_CELL_CAP // ((1 << 16) + 301)),
+            # the benchmark's outage headline shape
+            (24, 36, 200_000),
+        ],
+    )
+    def test_lane_widths_within_four_sigma_of_dp(self, M, N, trials):
+        res = sample_distinct_count(M, N, trials=trials, seed=2_024)
+        dist = distinct_count_dp(M, N)
+        for K in range(min(N, M) + 1):
+            truth = math.exp(dist.log_cdf(K))
+            sigma = math.sqrt(max(truth * (1 - truth), 1e-12) / res.trials)
+            assert abs(res.cdf[K] - truth) <= 4.0 * sigma + 1e-9, K
 
-def reference_counts(M, N, trials, seed):
+
+def reference_counts(M, N, trials, seed, rows=None):
     """Distinct-count tallies of sample_distinct_count computed the plain
-    way: int64 draws and a B x M bincount per chunk, the reference for the
-    sampler's int32 draws and distinct_per_row."""
+    way.  Each chunk's Philox generator draws, up to 2^16 bins, uint16 row
+    blocks of `rows` trials (by default the sampler's: 8-byte cells of a
+    2^16-cell budget over a trial's 12 N + M bytes; the last block short)
+    and, above 2^16, one whole int64 draw.  Each trial is then counted by a
+    bincount over its M bins, in slices of rows whose bins stay within 2^20
+    cells."""
+    rows = rows or max(1, 8 * (1 << 16) // (12 * N + M))
     counts = np.zeros(min(N, M) + 1, dtype=np.int64)
     for idx, start in enumerate(range(0, trials, 1 << 14)):
         size = min(1 << 14, trials - start)
@@ -281,11 +305,20 @@ def reference_counts(M, N, trials, seed):
             continue
         key = ((seed & ((1 << 64) - 1)) << 64) | idx
         rng = np.random.Generator(np.random.Philox(key=key))
-        draws = rng.integers(0, M, size=(size, N))
-        flat = draws + np.arange(size, dtype=np.int64)[:, None] * M
-        occupied = np.bincount(flat.ravel(), minlength=size * M).reshape(size, M) > 0
-        distinct = occupied.sum(axis=1)
-        counts += np.bincount(distinct, minlength=len(counts))[: len(counts)]
+        if M <= 1 << 16:
+            draws = np.concatenate(
+                [rng.integers(0, M, size=(min(rows, size - r), N), dtype=np.uint16)
+                 for r in range(0, size, rows)]
+            )
+        else:
+            draws = rng.integers(0, M, size=(size, N))
+        span = max(1, (1 << 20) // M)
+        for r in range(0, size, span):
+            block = draws[r : r + span]
+            flat = block + np.arange(len(block), dtype=np.int64)[:, None] * M
+            bins = np.bincount(flat.ravel(), minlength=len(block) * M)
+            distinct = (bins.reshape(len(block), M) > 0).sum(axis=1)
+            counts += np.bincount(distinct, minlength=len(counts))[: len(counts)]
     return counts
 
 
@@ -340,29 +373,36 @@ class TestOccupancyKernel:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "M,N", [(1, 9), (2, 2), (17, 40), (24, 36), (500, 30), (5, 0)]
+        "M,N", [(1, 9), (2, 2), (17, 40), (24, 36), (500, 30), (5, 0), (70_000, 3)]
     )
     def test_sampler_matches_int64_bincount_reference(self, M, N, workers):
-        trials = (1 << 14) + 1_234
+        # two chunks, the last one short; above 2^16 bins the cell cap
+        # allows one short chunk only
+        trials = min((1 << 14) + 1_234, balls_bins.DEFAULT_CELL_CAP // (N + M))
         res = sample_distinct_count(M, N, trials=trials, seed=31, workers=workers)
         assert res.counts.tolist() == reference_counts(M, N, trials, 31).tolist()
 
     @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("M,N", [(1, 9), (5, 7), (24, 37), (500, 31)])
+    @pytest.mark.parametrize("M,N", [(1, 9), (5, 7), (24, 37), (500, 31), (80_000, 3)])
     def test_sampler_row_blocks_match_one_draw(self, M, N, rows):
-        # blocks of one row, and of three (which divide no chunk here), drawn
-        # one after another give the counts of the int64 whole-chunk draw
-        trials = 1_000 + (1 << 14)
+        # blocks of one row, and of three (which divide no chunk here): up
+        # to 2^16 bins the counts are those of one plain uint16 draw per
+        # block of the same size, every trial counted once; above, those of
+        # one whole int64 draw whatever the blocks
+        trials = min(1_000 + (1 << 14), balls_bins.DEFAULT_CELL_CAP // (N + M))
         # the budget whose 8-byte cells hold `rows` trials of 12 N + M bytes
         budget = -(-rows * (12 * N + M) // 8)
         with mock.patch.object(balls_bins, "_BLOCK_CELLS", budget):
             res = sample_distinct_count(M, N, trials=trials, seed=17)
-        assert res.counts.tolist() == reference_counts(M, N, trials, 17).tolist()
+        expect = reference_counts(M, N, trials, 17, rows)
+        assert res.counts.tolist() == expect.tolist()
+        assert res.counts.sum() == trials
 
     @pytest.mark.parametrize("M", [1, 24, 4096, (1 << 30) + 3])
     def test_int32_row_blocks_keep_one_draw(self, M):
-        # the sampler's blocks: consecutive int32 draws of odd row length
-        # on Philox give the values and the stream of one whole draw
+        # the kernel's blocks, and the sampler's above 2^16 bins: consecutive
+        # int32 draws of odd row length on Philox give the values and the
+        # stream of one whole draw
         def generator():
             return np.random.Generator(np.random.Philox(key=(7 << 64) | 2))
 
@@ -377,8 +417,9 @@ class TestOccupancyKernel:
 
     @pytest.mark.parametrize("M", [1, 2, 24, 64, 4096, (1 << 31) - 1])
     def test_int32_draws_keep_the_int64_stream(self, M):
-        # the sampler and the trial kernel draw int32 in place of int64 on
-        # Philox, and the kernel's property tests drive it with default_rng
+        # the trial kernel, and the sampler above 2^16 bins, draw int32 in
+        # place of int64 on Philox; the kernel's property tests drive it with
+        # default_rng
         for generator in (
             lambda: np.random.Generator(np.random.Philox(key=(9 << 64) | 3)),
             lambda: np.random.default_rng(93),

@@ -99,6 +99,8 @@ class TestOccupancyCommand:
         row = payload["rows"][0]
         assert row["K"] == 0 and row["log_p"] is None and row["exponent"] is None
         assert payload["summary"]["degenerate_rows"] == 1
+        # the config names the clamps the rows were made with: K may be 0
+        assert payload["config"]["rounding"] == "half-up; N clamped to >= 1, K to <= M"
         # delta*M rounds to M: certain event, exponent exactly zero
         out2 = tmp_path / "full.json"
         rc = main(
