@@ -26,8 +26,8 @@ _CANCEL_FLOOR = 1e-3
 
 # cells per row block of a chunk in the channel's trial kernel, and 8-byte
 # cells per row block of the sampler: a block's arrays stay within a few MB.
-# The sampler's counts depend on this constant, as its uint16 draws follow
-# its row blocks; the kernel's outputs do not
+# The sampler's counts depend on this constant, as up to 2^16 bins each row
+# block drops its unused lanes; the kernel's outputs do not
 _BLOCK_CELLS = 1 << 16
 
 # trials per Monte-Carlo chunk; fixed so that results are independent of the
@@ -229,15 +229,16 @@ def row_bits(values: np.ndarray) -> np.ndarray:
 
 def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
     """Number of distinct entries in each row of values (B x N integers of
-    any width, every entry in [0, width)): the sampler passes uint16 or
-    int32 draws, the trial kernel int32 or int64 indices.
+    any width and either memory order, every entry in [0, width)): the
+    sampler passes the transpose of its (N, b) uint16 lanes or int32 draws,
+    the trial kernel int32 or int64 indices.
 
     Up to 64 bins, a row ORs one uint64 bit per entry and counts the set
     bits, which needs neither random writes nor a B x width array; wider
     rows scatter into a flat bool array of one byte per bin through an int64
     flat index.  Either way the work array holds 8 bytes per entry, so the
     callers bound it by their row blocks: the trial kernel passes at most
-    _BLOCK_CELLS / N rows and the sampler at most 8 _BLOCK_CELLS / (12 N + M)
+    _BLOCK_CELLS / N rows and the sampler at most 8 _BLOCK_CELLS / (16 N + M)
     rows, or one row where a single trial is larger."""
     if width <= 64:
         return np.bitwise_count(row_bits(values)).astype(np.intp)
@@ -248,22 +249,42 @@ def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
     return np.count_nonzero(seen.reshape(B, width), axis=1)
 
 
+def _uniform_lanes(rng: np.random.Generator, M: int, n: int) -> np.ndarray:
+    """n i.i.d. uniform uint16 values in [0, M), 1 <= M <= 2^16, by exact
+    rejection (Lemire 2019) on 16-bit lanes of raw Philox words: ceil(n / 4)
+    words are cut into four lanes each, low lane first whatever the host's
+    byte order; the lanes below top = 2^16 - (2^16 mod M) are kept in order
+    and mapped to lane // (top // M).  A shortfall draws ceil(shortfall / 4)
+    more words the same way; kept lanes beyond n are dropped."""
+    top = (1 << 16) - (1 << 16) % M
+    words = rng.bit_generator.random_raw(-(-n // 4))
+    lanes = words.astype("<u8", copy=False).view("<u2")
+    if top < 1 << 16:
+        lanes = lanes[lanes < top]
+    # at M = 1, top // M = 2^16 does not fit a lane, and every value is 0
+    values = lanes[:n] // (top // M) if M > 1 else np.zeros(n, np.uint16)
+    if values.size < n:
+        values = np.concatenate((values, _uniform_lanes(rng, M, n - values.size)))
+    return values
+
+
 def _sample_chunk(args) -> np.ndarray:
-    M, N, seed, chunk_index, size = args
+    """Distinct-count tally of one chunk, in row blocks of `rows` trials.
+    Up to 2^16 bins a block of b trials lays b N _uniform_lanes values out
+    as (N, b), trial j holding values j, b + j, ..., and counts the
+    transpose, whose bit-mask reduce ORs contiguous rows.  Above 2^16 bins
+    a block is b x N int32 draws: the values and stream of one whole int64
+    draw per chunk."""
+    M, N, rows, seed, chunk_index, size = args
     rng = chunk_rng(seed, chunk_index)
-    # up to 2^16 bins, numpy draws uint16 values by Lemire's rejection on
-    # 16-bit lanes, four per Philox word; it keeps a half-used lane only
-    # within one call, so the stream is the row blocks' draws in order.
-    # Above 2^16, int32 draws give the values and the stream of one whole
-    # int64 draw, blocked or not (the cell cap keeps M below 1e8)
-    dtype = np.uint16 if M <= 1 << 16 else np.int32
     counts = np.zeros(min(N, M) + 1, dtype=np.intp)
-    # a trial takes at most 12 N + M bytes (10 N + M with uint16 draws), and
-    # a block 8 per cell
-    step = max(1, 8 * _BLOCK_CELLS // (12 * N + M))
-    for r in range(0, size, step):
-        draws = rng.integers(0, M, size=(min(step, size - r), N), dtype=dtype)
-        counts += np.bincount(distinct_per_row(draws, M), minlength=counts.size)
+    for r in range(0, size, rows):
+        b = min(rows, size - r)
+        if M <= 1 << 16:
+            values = _uniform_lanes(rng, M, b * N).reshape(N, b).T
+        else:
+            values = rng.integers(0, M, size=(b, N), dtype=np.int32)
+        counts += np.bincount(distinct_per_row(values, M), minlength=counts.size)
     return counts
 
 
@@ -276,16 +297,16 @@ def sample_distinct_count(
     (seed, chunk index), so results are reproducible and independent of the
     worker count; chunk tallies merge by summation.
 
-    A chunk of B = min(trials, 2^14) trials is drawn and counted in row
-    blocks of b = max(1, 8 * _BLOCK_CELLS // (12 N + M)) trials: b x N
-    draws (uint16 up to 2^16 bins, int32 above), up to 8 bytes per draw in
-    distinct_per_row and, above 64 bins, one bool byte per bin, at most
-    b * (12 N + M) bytes, which b keeps within 8 * _BLOCK_CELLS (512 KB)
-    unless one trial alone is larger.  Up to 2^16 bins the counts depend on
-    b, since each block drops the unused half of its last 32-bit lane;
-    above 2^16 they equal those of one whole int64 draw per chunk.  When
-    B * (N + M) exceeds DEFAULT_CELL_CAP cells the call raises CapacityError
-    before it allocates or starts a worker.
+    A chunk of up to 2^14 trials is drawn and counted in row blocks of
+    b = max(1, 8 * _BLOCK_CELLS // (16 N + M)) trials (see _sample_chunk).
+    A block holds its drawn lanes (about twice the values near M = 2^15 + 1,
+    where rejection keeps half), the kept lanes and the values at 2 bytes
+    each, 8 bytes per value of bit masks or flat index and, above 64 bins,
+    one byte per bin: at most b (16 N + M) bytes, within 8 * _BLOCK_CELLS
+    (512 KB) unless one trial alone is larger.  The counts depend on b, as
+    each block drops its unused kept lanes.  When a row block needs more
+    than DEFAULT_CELL_CAP cells of b (N + M), that is when one trial does,
+    the call raises CapacityError before it allocates or starts a worker.
     """
     if M < 1:
         raise DomainError("M must be a positive integer")
@@ -293,12 +314,13 @@ def sample_distinct_count(
         raise DomainError("N must be non-negative")
     if trials < 1:
         raise DomainError("trials must be positive")
-    cells = min(trials, _CHUNK_TRIALS) * (N + M)
+    rows = max(1, 8 * _BLOCK_CELLS // (16 * N + M))
+    cells = min(trials, rows) * (N + M)
     if cells > DEFAULT_CELL_CAP:
         raise CapacityError(
-            f"a sampling chunk needs {cells} cells, above the cap {DEFAULT_CELL_CAP}"
+            f"a sampling row block needs {cells} cells, above the cap {DEFAULT_CELL_CAP}"
         )
-    parts = map_chunks(_sample_chunk, (M, N, seed), trials, _CHUNK_TRIALS, workers)
+    parts = map_chunks(_sample_chunk, (M, N, rows, seed), trials, _CHUNK_TRIALS, workers)
     counts = np.sum(parts, axis=0)
     cdf = np.cumsum(counts) / trials
     std_err = np.sqrt(cdf * (1.0 - cdf) / trials)

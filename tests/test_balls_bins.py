@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -271,8 +272,8 @@ class TestSampling:
     @pytest.mark.parametrize(
         "M,N,trials",
         [
-            # uint16 lanes where numpy never rejects, and the int32 draws just
-            # above them: one chunk of as many trials as the cell cap allows
+            # 16-bit lanes that are never rejected (top = 2^16), and the int32
+            # draws just above them: one short chunk of 1,518 trials
             (1 << 16, 300, balls_bins.DEFAULT_CELL_CAP // ((1 << 16) + 300)),
             ((1 << 16) + 1, 300, balls_bins.DEFAULT_CELL_CAP // ((1 << 16) + 301)),
             # the benchmark's outage headline shape
@@ -288,15 +289,35 @@ class TestSampling:
             assert abs(res.cdf[K] - truth) <= 4.0 * sigma + 1e-9, K
 
 
+def plain_lanes(rng, M, n):
+    """The sampler's n uniform values in [0, M), M <= 2^16, spelled out with
+    Python integers: raw Philox words are cut into four 16-bit lanes, low
+    lane first, by shifts; the lanes below top = 2^16 - 2^16 mod M are kept
+    in order and divided by top // M; while values are short, ceil(short / 4)
+    more words are drawn, and their kept lanes beyond n are dropped.
+    Returns the values and the number of words drawn."""
+    top = (1 << 16) - (1 << 16) % M
+    kept, words = [], 0
+    while len(kept) < n:
+        short = n - len(kept)
+        raw = rng.bit_generator.random_raw(-(-short // 4)).tolist()
+        words += len(raw)
+        lanes = [(word >> shift) & 0xFFFF for word in raw for shift in (0, 16, 32, 48)]
+        kept += [lane for lane in lanes if lane < top][:short]
+    return [lane // (top // M) for lane in kept], words
+
+
+@functools.lru_cache(maxsize=None)
 def reference_counts(M, N, trials, seed, rows=None):
     """Distinct-count tallies of sample_distinct_count computed the plain
-    way.  Each chunk's Philox generator draws, up to 2^16 bins, uint16 row
-    blocks of `rows` trials (by default the sampler's: 8-byte cells of a
-    2^16-cell budget over a trial's 12 N + M bytes; the last block short)
-    and, above 2^16, one whole int64 draw.  Each trial is then counted by a
-    bincount over its M bins, in slices of rows whose bins stay within 2^20
-    cells."""
-    rows = rows or max(1, 8 * (1 << 16) // (12 * N + M))
+    way.  Each chunk's Philox generator draws, up to 2^16 bins, row blocks
+    of `rows` trials (by default the sampler's: 8-byte cells of a 2^16-cell
+    budget over a trial's 16 N + M bytes; the last block short), each block
+    the plain_lanes values of its b trials laid out as N rows of b, trial j
+    in column j; above 2^16 bins one whole int64 draw.  Each trial is then
+    counted by a bincount over its M bins, in slices of rows whose bins stay
+    within 2^20 cells."""
+    rows = rows or max(1, 8 * (1 << 16) // (16 * N + M))
     counts = np.zeros(min(N, M) + 1, dtype=np.int64)
     for idx, start in enumerate(range(0, trials, 1 << 14)):
         size = min(1 << 14, trials - start)
@@ -306,10 +327,12 @@ def reference_counts(M, N, trials, seed, rows=None):
         key = ((seed & ((1 << 64) - 1)) << 64) | idx
         rng = np.random.Generator(np.random.Philox(key=key))
         if M <= 1 << 16:
-            draws = np.concatenate(
-                [rng.integers(0, M, size=(min(rows, size - r), N), dtype=np.uint16)
-                 for r in range(0, size, rows)]
-            )
+            blocks = []
+            for r in range(0, size, rows):
+                b = min(rows, size - r)
+                values, _ = plain_lanes(rng, M, b * N)
+                blocks.append(np.array(values, dtype=np.int64).reshape(N, b).T)
+            draws = np.concatenate(blocks)
         else:
             draws = rng.integers(0, M, size=(size, N))
         span = max(1, (1 << 20) // M)
@@ -319,7 +342,7 @@ def reference_counts(M, N, trials, seed, rows=None):
             bins = np.bincount(flat.ravel(), minlength=len(block) * M)
             distinct = (bins.reshape(len(block), M) > 0).sum(axis=1)
             counts += np.bincount(distinct, minlength=len(counts))[: len(counts)]
-    return counts
+    return counts.tolist()
 
 
 class TestOccupancyKernel:
@@ -376,27 +399,54 @@ class TestOccupancyKernel:
         "M,N", [(1, 9), (2, 2), (17, 40), (24, 36), (500, 30), (5, 0), (70_000, 3)]
     )
     def test_sampler_matches_int64_bincount_reference(self, M, N, workers):
-        # two chunks, the last one short; above 2^16 bins the cell cap
-        # allows one short chunk only
+        # two chunks, the last one short; above 2^16 bins one short chunk
+        # keeps the reference's bincounts small
         trials = min((1 << 14) + 1_234, balls_bins.DEFAULT_CELL_CAP // (N + M))
         res = sample_distinct_count(M, N, trials=trials, seed=31, workers=workers)
-        assert res.counts.tolist() == reference_counts(M, N, trials, 31).tolist()
+        assert res.counts.tolist() == reference_counts(M, N, trials, 31)
 
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("M,N", [(1, 9), (5, 7), (24, 37), (500, 31), (80_000, 3)])
     def test_sampler_row_blocks_match_one_draw(self, M, N, rows):
         # blocks of one row, and of three (which divide no chunk here): up
-        # to 2^16 bins the counts are those of one plain uint16 draw per
-        # block of the same size, every trial counted once; above, those of
-        # one whole int64 draw whatever the blocks
+        # to 2^16 bins the counts are those of the plain lane loop run once
+        # per block of the same size, every trial counted once; above, those
+        # of one whole int64 draw whatever the blocks
         trials = min(1_000 + (1 << 14), balls_bins.DEFAULT_CELL_CAP // (N + M))
-        # the budget whose 8-byte cells hold `rows` trials of 12 N + M bytes
-        budget = -(-rows * (12 * N + M) // 8)
+        # the budget whose 8-byte cells hold `rows` trials of 16 N + M bytes
+        budget = -(-rows * (16 * N + M) // 8)
         with mock.patch.object(balls_bins, "_BLOCK_CELLS", budget):
             res = sample_distinct_count(M, N, trials=trials, seed=17)
-        expect = reference_counts(M, N, trials, 17, rows)
-        assert res.counts.tolist() == expect.tolist()
+        assert res.counts.tolist() == reference_counts(M, N, trials, 17, rows)
         assert res.counts.sum() == trials
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 4097])
+    @pytest.mark.parametrize("M", [1, 2, 3, 24, 255, 256, 257, (1 << 15) + 1, 1 << 16])
+    def test_uniform_lanes_match_the_plain_lane_loop(self, M, n):
+        def generator():
+            return np.random.Generator(np.random.Philox(key=(5 << 64) | M))
+
+        rng, plain, fresh = generator(), generator(), generator()
+        got = balls_bins._uniform_lanes(rng, M, n)
+        expect, words = plain_lanes(plain, M, n)
+        assert got.dtype == np.uint16 and got.tolist() == expect
+        # the helper drew exactly the plain loop's words
+        assert rng.bit_generator.random_raw() == fresh.bit_generator.random_raw(words + 1)[-1]
+        if M & (M - 1) == 0:
+            # top = 2^16: no lane is rejected, one word gives four values
+            assert words == -(-n // 4)
+        if M == (1 << 15) + 1 and n == 4_097:
+            # top = 32,769 keeps about half the lanes, so the first
+            # ceil(n / 4) words fall short and refills draw about as many
+            assert 0.9 * n / 2 < words < 1.2 * n / 2
+
+    def test_uniform_lanes_histogram_within_four_sigma(self):
+        n, M = 240_000, 24
+        values = balls_bins._uniform_lanes(balls_bins.chunk_rng(7, 0), M, n)
+        hist = np.bincount(values, minlength=M)
+        assert hist.size == M and hist.sum() == n
+        sigma = math.sqrt(n / M * (1 - 1 / M))
+        assert np.all(np.abs(hist - n / M) <= 4 * sigma), hist.tolist()
 
     @pytest.mark.parametrize("M", [1, 24, 4096, (1 << 30) + 3])
     def test_int32_row_blocks_keep_one_draw(self, M):
@@ -440,8 +490,8 @@ class TestOccupancyKernel:
         monkeypatch.setattr(balls_bins, "ProcessPoolExecutor", no_pool)
         tracemalloc.start()
         try:
-            # draws or bins alone may break the cap
-            shapes = ((10**5, 10**4, 1 << 14), (10**7, 1, 16), (10, 10**7, 16))
+            # one trial alone breaks the cap, by its draws or by its bins
+            shapes = ((10, 10**8, 1 << 14), (10**8 + 1, 1, 16), (5 * 10**7, 5 * 10**7 + 1, 16))
             for M, N, trials in shapes:
                 for workers in (1, 2):
                     with pytest.raises(CapacityError):
@@ -450,11 +500,17 @@ class TestOccupancyKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        # the cap counts the trials of one chunk: few trials may be wide,
-        # and a run may hold more cells than the cap in all
+        # the cap counts one row block: few trials may be wide, and a run
+        # may hold more cells than the cap in all
         assert sample_distinct_count(2_000, 3_000, trials=30, seed=0).counts.sum() == 30
         res = sample_distinct_count(1, 99, trials=1_100_000, seed=0)
         assert res.counts.tolist() == [0, 1_100_000]
+
+    def test_wide_chunks_run_in_row_blocks(self):
+        # 2,000 trials of 70,003 cells are 1.4e8 cells in one chunk, above
+        # the cap, but a row block of 7 trials holds under 5e5
+        res = sample_distinct_count(70_000, 3, trials=2_000, seed=0)
+        assert res.counts.tolist() == reference_counts(70_000, 3, 2_000, 0)
 
 
 class TestEmpiricalExponent:
