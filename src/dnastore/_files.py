@@ -1,9 +1,25 @@
-"""Output files that are either written whole or not at all."""
+"""Input files read as JSON, and output files that are either written whole
+or not at all."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
+
+from .errors import DomainError
+
+
+def load_json(path, what: str):
+    """The JSON value in the file at path; DomainError, naming the file as
+    what, when it cannot be read or holds no JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise DomainError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DomainError(f"{what} {path} is not JSON: {exc}") from exc
 
 
 @contextlib.contextmanager

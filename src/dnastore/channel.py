@@ -26,7 +26,9 @@ _BLOCK_CELLS cells; bounded draws take the stream one value at a time, so
 the blocks' tie draws are those of one draw after the last block.  A chunk
 thus holds 4 to 19 bytes per read of draws and support positions (and,
 while their masks are made, the 8 of the float64 uniforms) plus one block
-of a few MB, whatever its route.
+of a few MB, whatever its route.  CapacityError refuses, before they are
+allocated, a chunk of more than DEFAULT_CELL_CAP reads and a sparse-route
+block whose scores and index entries exceed as many cells.
 
 The kernel returns what every caller reads; the guarantee flags and the
 failure cause come from ``_flags`` and ``_failure_cause``, which the
@@ -80,9 +82,10 @@ _KEY_MASK = (1 << 128) - 1
 # GEMM between ratios 640 and 2048
 _SPARSE_RATIO = 1024
 
-# cell budget of the dense route: score_route takes the sparse route when a
-# chunk's B x (inner+1) occupancy arrays or the J x inner support matrix
-# would hold more cells (about 200 MB of chunk arrays for multiplicity_count)
+# cells of the dense route's J x inner float32 support matrix, above which
+# score_route takes the sparse route.  Forced routes at J x inner = 2^25 and
+# ratio 1024 (M=2, N=32,768 and M=64, N=1,024, both with inner 8,192 and J
+# 4,096) ran 6-50x slower per trial dense than sparse on a 2-vCPU VM
 _DENSE_CELLS = 1 << 24
 
 # multiply-adds per row block of the dense route's product, which OpenBLAS
@@ -294,24 +297,23 @@ def _route(ctx, model, rule, n) -> str:
     product.  "sparse" sums the index entries into int64 counts; "dense"
     multiplies by the support matrix in float32, which holds every integer
     score exactly only below 2^24 reads, so from there on the route is
-    always sparse.  So is it when the dense route's arrays would exceed
+    always sparse.  So is it when the J x inner support matrix would exceed
     _DENSE_CELLS cells."""
     if ctx.inner <= 64 and rule != "multiplicity_count":
         return "bits"
-    dense_cells = max(_chunk_size(ctx.J) * (ctx.inner + 1), ctx.J * ctx.inner)
-    if n >= 1 << 24 or dense_cells > _DENSE_CELLS:
+    if n >= 1 << 24 or ctx.J * ctx.inner > _DENSE_CELLS:
         return "sparse"
     index_entries = _index_entries(ctx, model, n)
     return "sparse" if ctx.inner * ctx.J > _SPARSE_RATIO * index_entries else "dense"
 
 
-def _scores(ctx, rule, reads, route, lookups=None):
+def _scores(ctx, rule, reads, route):
     """B x J decoder scores of reads (B x N, the sentinel inner marks an
     erasure): per codeword, the distinct observed molecules it holds or,
     for multiplicity_count, the reads it holds.  Also returns the distinct
     observed count per trial for unique_superset, its only reader (None for
-    the other rules).  The sparse route adds up the index ranges of
-    lookups, which _lookups gives for reads when the caller passes none."""
+    the other rules).  The sparse route raises CapacityError, before it lays
+    out its index entries, when they and the scores exceed DEFAULT_CELL_CAP."""
     inner, J = ctx.inner, ctx.J
     B = reads.shape[0]
     if route == "bits":
@@ -336,35 +338,33 @@ def _scores(ctx, rule, reads, route, lookups=None):
             block = observed[r : r + step].astype(np.float32)
             np.matmul(block, support_t, out=scores[r : r + step])
         return scores, sizes
-    if lookups is None:
-        lookups = _lookups(ctx, rule, reads)
-    owner, start, lens, sizes = lookups
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if ends.size else 0
-    # each molecule's index range inv_ptr[m]:inv_ptr[m + 1], laid end to end
-    entries = np.arange(total) + np.repeat(start - ends + lens, lens)
-    keys = np.repeat(owner * J, lens) + ctx.inv_idx[entries]
-    return np.bincount(keys, minlength=B * J).reshape(B, J), sizes
-
-
-def _lookups(ctx, rule, reads):
-    """The inverted-index ranges the sparse route adds up for reads: per
-    range its row of reads, its start in inv_idx and its length, and the
-    distinct observed count per row for unique_superset (else None)."""
+    # the sparse route: the index range inv_ptr[m]:inv_ptr[m + 1] of each
+    # read (multiplicity_count) or distinct observed molecule, and its row
     sizes = None
     if rule == "multiplicity_count":
         mols = reads.ravel()
-        owner = np.repeat(np.arange(reads.shape[0]), reads.shape[1])
+        owner = np.repeat(np.arange(B), reads.shape[1])
     else:
         ordered = np.sort(reads, axis=1)
-        first = ordered != ctx.inner
+        first = ordered != inner
         first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
         if rule == "unique_superset":
             sizes = first.sum(axis=1)
         owner, col = np.nonzero(first)
         mols = ordered[owner, col]
     start = ctx.inv_ptr[mols]
-    return owner, start, ctx.inv_ptr[mols + 1] - start, sizes
+    lens = ctx.inv_ptr[mols + 1] - start
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    if B * J + total > DEFAULT_CELL_CAP:
+        raise CapacityError(
+            f"a score block needs {B} x {J} scores and {total} index entries, "
+            f"above the cap of {DEFAULT_CELL_CAP} cells"
+        )
+    # the ranges laid end to end
+    entries = np.arange(total) + np.repeat(start - ends + lens, lens)
+    keys = np.repeat(owner * J, lens) + ctx.inv_idx[entries]
+    return np.bincount(keys, minlength=B * J).reshape(B, J), sizes
 
 
 def _index_entries(ctx, model, n) -> float:
@@ -377,8 +377,11 @@ def _index_entries(ctx, model, n) -> float:
 def _block_rows(ctx, model, route, n) -> int:
     """Trials per row block of the kernel's deterministic stages: those of
     _BLOCK_CELLS cells, a trial counting its n reads, its J scores and, on
-    the sparse route, its index entries or, on the dense route, its
-    inner + 1 occupancy cells, whichever is most."""
+    the sparse route, its expected index entries or, on the dense route,
+    its inner + 1 occupancy cells, whichever is most.  A codebook whose
+    molecules are shared unevenly touches more entries than expected (500
+    codewords sharing 56 of 64 molecules peak at about 55 MB); only the cap
+    in _scores bounds such a block."""
     cells = max(n, ctx.J)
     if route == "sparse":
         cells = max(cells, _index_entries(ctx, model, n))
@@ -392,10 +395,11 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     error model and the decoder, with draws taken from rng in the order the
     module docstring gives; route is score_route's pick.
 
-    The chunk is drawn whole; the masks of the model's uniforms replace
-    them at once.  Every later stage, and the tie-break draw, runs in row
-    blocks of _block_rows trials, whose per-trial results are joined after
-    the last block.
+    The chunk is drawn whole, and refused with CapacityError before its
+    first draw when it holds more than DEFAULT_CELL_CAP reads; the masks of
+    the model's uniforms replace them at once.  Every later stage, and the
+    tie-break draw, runs in row blocks of _block_rows trials, whose
+    per-trial results are joined after the last block.
 
     Returns per-trial arrays: decoded (-1 where unique_superset finds no
     single containing codeword), wrong, distinct, errors, tie and positions
@@ -405,6 +409,12 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     M, inner, J = ctx.M, ctx.inner, ctx.J
     B = msgs.size
     kind = "none" if model.p == 0.0 else model.kind
+    if B * N > DEFAULT_CELL_CAP:
+        raise CapacityError(
+            f"{B} trials of {N} reads need {B * N} draws, above the cap of "
+            f"{DEFAULT_CELL_CAP}; fewer reads, or fewer trials than one chunk, "
+            "get under it"
+        )
 
     # the draws; on Philox and PCG64, int32 draws give the values and the
     # stream of int64 draws, here and for the replacements below
@@ -434,7 +444,6 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
         positions = np.empty((B, N), dtype=position_of.dtype)
     S = ctx.support_mask.shape[1]
     parts = []
-    entries = 0
     step = _block_rows(ctx, model, route, N) if B > 1 else B
     for r in range(0, B, step):
         blk = slice(r, r + step)
@@ -463,16 +472,7 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
                 reads += (target_b[idx_b[blk]] - sampled) * from_b[blk]
             errors = (reads != sampled).sum(axis=1)
 
-        lookups = None
-        if route == "sparse":
-            # the cap counts the chunk's B x J scores and index entries; a
-            # chunk above it is refused after the loop, all its entries
-            # counted, and scores no block past the cap
-            lookups = _lookups(ctx, dec.rule, reads)
-            entries += int(lookups[2].sum())
-            if B * J + entries > DEFAULT_CELL_CAP:
-                continue
-        scores, observed_sizes = _scores(ctx, dec.rule, reads, route, lookups)
+        scores, observed_sizes = _scores(ctx, dec.rule, reads, route)
         if dec.rule == "unique_superset":
             covering = scores == observed_sizes[:, None]
             n_candidates = covering.sum(axis=1)
@@ -495,15 +495,7 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
                 ranks = np.cumsum(at_top[tied], axis=1)
                 decoded[tied] = np.argmax(ranks > k[:, None], axis=1)
         parts.append((decoded, distinct, errors, tie))
-    if route == "sparse" and B * J + entries > DEFAULT_CELL_CAP:
-        raise CapacityError(
-            f"a score chunk needs {B} x {J} scores and {entries} index entries, "
-            f"above the cap of {DEFAULT_CELL_CAP} cells"
-        )
-    if len(parts) == 1:
-        decoded, distinct, errors, tie = parts[0]
-    else:
-        decoded, distinct, errors, tie = map(np.concatenate, zip(*parts))
+    decoded, distinct, errors, tie = map(np.concatenate, zip(*parts))
 
     out = {
         "decoded": decoded,
@@ -515,13 +507,9 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     }
     if cases is not None:
         a, b = model.attack_pair
-        half = (N + 1) // 2
-        pattern_i = (cases[:, :half] == 2).all(axis=1) & (cases[:, half:] == 0).all(
-            axis=1
-        )
-        pattern_ii = (cases[:, :half] == 0).all(axis=1) & (cases[:, half:] == 1).all(
-            axis=1
-        )
+        head, tail = np.split(cases, [(N + 1) // 2], axis=1)
+        pattern_i = (head == 2).all(axis=1) & (tail == 0).all(axis=1)
+        pattern_ii = (head == 0).all(axis=1) & (tail == 1).all(axis=1)
         out["cases"] = cases
         out["pattern_i"] = pattern_i
         out["bad"] = np.where(
@@ -663,11 +651,7 @@ def _estimate_chunk(spec):
     attack = None
     if "bad" in t:
         bad = t["bad"]
-        attack = (
-            int(t["pattern_i"].sum()),
-            int(bad.sum()),
-            int((bad & t["wrong"]).sum()),
-        )
+        attack = int(t["pattern_i"].sum()), int(bad.sum()), int((bad & t["wrong"]).sum())
     return int(wrong.size), cause_counts, attack
 
 
@@ -709,9 +693,7 @@ def estimate_error_probability(
         p_hat=p_hat,
         std_err=math.sqrt(p_hat * (1.0 - p_hat) / trials),
         seed=master_seed,
-        failure_causes={
-            name: int(cause_counts[k]) for k, name in enumerate(FAILURE_CAUSES)
-        },
+        failure_causes=dict(zip(FAILURE_CAUSES, map(int, cause_counts))),
         wall_time_s=time.perf_counter() - start,
         attack_stats=attack_stats,
     )

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import balls_bins, channel, codebook as cbk, exponents
-from ._files import atomic_open
+from ._files import atomic_open, load_json
 from .errors import CapacityError, DomainError, ShortfallError
 from .params import ScalingParams
 
@@ -42,8 +42,7 @@ def fig1_default_grid() -> tuple[list[float], list[float]]:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path) as fh:
-        loaded = json.load(fh)
+    loaded = load_json(path, "config file")
     if not isinstance(loaded, dict):
         raise DomainError("config file must hold a JSON object")
     return loaded
@@ -56,6 +55,15 @@ def _pick(args, config: dict, dest: str, default=None):
     if dest in config:
         return config[dest]
     return default
+
+
+def _output(args, config: dict, default_out=None) -> tuple[str | None, str]:
+    """The command's (out, format), each from its flag, else the config,
+    else default_out and json."""
+    fmt = _pick(args, config, "format", "json")
+    if fmt not in ("csv", "json"):
+        raise DomainError(f"unknown output format {fmt!r}")
+    return _pick(args, config, "out", default_out), fmt
 
 
 def _timestamp() -> str:
@@ -76,11 +84,8 @@ def _write_table(out, fmt, schema, config, header, rows, extra=None, metadata=No
     if fmt == "csv":
         with _open_out(out) as fh:
             fh.write(f"# schema: {schema}\n")
-            fh.write(
-                "# config: "
-                + json.dumps(config, sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
+            compact = json.dumps(config, sort_keys=True, separators=(",", ":"))
+            fh.write(f"# config: {compact}\n")
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
@@ -156,8 +161,7 @@ def cmd_exponent(args) -> int:
                 "delta": [float(d) for d in deltas], "tol": tol,
                 "seed": _pick(args, config, "seed")}
     _write_table(
-        args.out,
-        args.format,
+        *_output(args, config),
         f"{SCHEMA_PREFIX}.exponent",
         resolved,
         ["c", "delta", "r", "f_multinomial", "f_poisson", "regime"],
@@ -222,8 +226,7 @@ def cmd_occupancy(args) -> int:
         "seed": _pick(args, config, "seed"),
     }
     _write_table(
-        args.out,
-        args.format,
+        *_output(args, config),
         f"{SCHEMA_PREFIX}.occupancy.convergence",
         resolved,
         ["M", "N", "K", "log_p", "exponent", "f_limit", "gap"],
@@ -247,8 +250,7 @@ def _occupancy_distribution(args, config, M, N, cell_cap) -> int:
         "seed": _pick(args, config, "seed"),
     }
     _write_table(
-        args.out,
-        args.format,
+        *_output(args, config),
         f"{SCHEMA_PREFIX}.occupancy.distribution",
         resolved,
         ["k", "log_pmf", "pmf"],
@@ -331,7 +333,7 @@ def cmd_codebook(args) -> int:
     config = _load_config(args.config)
     seed = int(_pick(args, config, "seed", 0))
     built, resolved, shortfall = _build_codebook(args, config, seed)
-    out = args.out or "codebook.json"
+    out = _output(args, config, "codebook.json")[0]
     cbk.save_codebook(built, out)
     report = _separation_report(built, resolved.get("cap"))
     if shortfall is not None:
@@ -374,18 +376,13 @@ def _channel_setup(args, config, p: float):
     config, trials)."""
     kind = _pick(args, config, "model", "none")
     pair = _pick(args, config, "attack_pair")
-    if kind == "none":
-        model = channel.SequencingErrorModel.none()
-    elif kind == "erasure":
-        model = channel.SequencingErrorModel.erasure(p)
-    elif kind == "random":
-        model = channel.SequencingErrorModel.random(p)
-    elif kind == "adversarial":
+    if kind == "adversarial":
         if pair is None:
             raise DomainError("adversarial model needs --attack-pair I J")
-        model = channel.SequencingErrorModel.adversarial(p, tuple(int(x) for x in pair))
+        pair = tuple(int(x) for x in pair)
     else:
-        raise DomainError(f"unknown model {kind!r}")
+        pair = None
+    model = channel.SequencingErrorModel(kind, 0.0 if kind == "none" else p, pair)
     dec = channel.DecoderConfig(
         rule=_pick(args, config, "decoder", "distinct_intersection"),
         epsilon=float(_pick(args, config, "epsilon", 0.05)),
@@ -476,9 +473,9 @@ def cmd_simulate(args) -> int:
         "report": report.comparable_dict(),
         "bounds": bounds,
     }
-    out = args.out or "-"
+    out, fmt = _output(args, config, "-")
     _dump_json(out, payload)
-    if args.format == "csv" and out != "-":
+    if fmt == "csv" and out != "-":
         _write_table(
             out + ".causes.csv",
             "csv",
@@ -542,8 +539,7 @@ def cmd_sweep(args) -> int:
         "workers": workers,
     }
     _write_table(
-        args.out,
-        args.format,
+        *_output(args, config),
         f"{SCHEMA_PREFIX}.sweep",
         resolved,
         ["param", "value", "trials", "errors", "p_hat", "std_err"],
@@ -560,7 +556,7 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON file of parameter defaults")
     sub.add_argument("--seed", type=int, help="master seed (default 0)")
     sub.add_argument("--workers", type=int, help="worker processes (default 1)")
-    sub.add_argument("--format", choices=("csv", "json"), default="json")
+    sub.add_argument("--format", choices=("csv", "json"), help="(default json)")
     sub.add_argument("--out", help="output path (default stdout)")
 
 

@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._files import atomic_open
+from ._files import atomic_open, load_json
 from .balls_bins import _half_up
 from .errors import DomainError, ShortfallError
 from .params import ScalingParams
@@ -514,9 +514,14 @@ def codebook_to_dict(cb: Codebook) -> dict:
 
 
 def codebook_from_dict(d: dict) -> Codebook:
+    if not isinstance(d, dict):
+        raise DomainError("a codebook must be a JSON object")
     version = d.get("format_version")
     if version != CODEBOOK_FORMAT_VERSION:
         raise DomainError(f"unsupported codebook format version {version!r}")
+    missing = sorted({"scaling", "index_based", "codewords"} - d.keys())
+    if missing:
+        raise DomainError(f"codebook lacks {', '.join(missing)}")
     molecules, mults, sizes = _arrays(d["codewords"])
     return Codebook(
         scaling=ScalingParams.from_dict(d["scaling"]),
@@ -544,5 +549,4 @@ def save_codebook(cb: Codebook, path) -> None:
 
 
 def load_codebook(path) -> Codebook:
-    with open(path) as fh:
-        return codebook_from_dict(json.load(fh))
+    return codebook_from_dict(load_json(path, "codebook file"))

@@ -47,6 +47,27 @@ def cap_codebook(M=16, inner=256, N=48, cap=3, J=32, seed=9):
     return greedy_index_codebook(sc, cap, target_J=J, seed=seed, attempt_budget=50_000)
 
 
+def array_index_codebook(molecules, inner, N):
+    """An index codebook built straight from its J x M molecule array, whose
+    column g holds molecules of group g (inner // M molecules each)."""
+    J, M = molecules.shape
+    return Codebook(
+        ScalingParams(M=M, inner_size=inner, N=N, J=J),
+        index_based=True,
+        group_size=inner // M,
+        molecules=molecules,
+        mults=np.ones((J, M), dtype=np.int64),
+        sizes=np.full(J, M),
+    )
+
+
+def random_index_codebook(M, inner, J, N, seed=5):
+    group = inner // M
+    rng = np.random.default_rng(seed)
+    molecules = rng.integers(0, group, size=(J, M)) + np.arange(M) * group
+    return array_index_codebook(molecules, inner, N)
+
+
 DIST = DecoderConfig("distinct_intersection", epsilon=0.125)
 MULT = DecoderConfig("multiplicity_count", epsilon=0.15, eta=0.5)
 
@@ -482,6 +503,12 @@ class TestScoreRoutes:
         assert channel.score_route(narrow, none, mult, n_reads=(1 << 24) - 1) == "dense"
         assert channel.score_route(narrow, none, mult, n_reads=1 << 24) == "sparse"
         assert channel.score_route(narrow, none, DIST.rule, n_reads=1 << 24) == "bits"
+        # a mid-width codebook, 200 codewords of 128 molecules out of 1,024:
+        # dense, as its 200 x 1,024 support matrix is all the cap counts (a
+        # whole chunk's occupancy, once counted too, held over 2^24 cells)
+        mid = random_index_codebook(M=128, inner=1024, J=200, N=256)
+        for rule in channel.DECODER_RULES:
+            assert channel.score_route(mid, random, rule) == "dense"
 
     @pytest.mark.parametrize("inner", [3, 63, 64])
     def test_bits_route_drops_the_sentinel(self, inner):
@@ -502,18 +529,15 @@ class TestScoreRoutes:
         assert sizes.tolist() == [2, 0, 2]
 
     def test_dense_route_keeps_to_its_cell_budget(self, monkeypatch):
-        # two disjoint codewords of 2^11 molecules out of 2^16: the shape
-        # rule alone reads dense, but a chunk's B x (inner+1) occupancy
-        # arrays would hold 2^30 cells
-        M, inner = 1 << 11, 1 << 16
-        sc = ScalingParams(M=M, inner_size=inner, N=M, J=2)
-        halves = (range(M), range(M, 2 * M))
-        cb = Codebook(sc, tuple(map(Codeword.from_molecules, halves)), False)
+        # 4,096 two-molecule index codewords out of 8,192 molecules and
+        # 32,768 reads: the shape rule alone reads dense (ratio 1,024), but
+        # the J x inner support matrix would hold 2^25 cells
+        k = np.arange(4096)
+        cb = array_index_codebook(np.stack([k, 4096 + k], axis=1), 8192, 32_768)
         none = SequencingErrorModel.none()
         assert channel.score_route(cb, none, DIST.rule) == "sparse"
         monkeypatch.setattr(channel, "_DENSE_CELLS", 1 << 40)
         assert channel.score_route(cb, none, DIST.rule) == "dense"
-
 
     @settings(max_examples=100, deadline=None)
     @given(cb=small_codebooks())
@@ -549,32 +573,57 @@ def shared_molecule_codebook(J=500, M=64, inner=4096, shared=56):
 
 
 class TestScoreCapacity:
-    def test_wide_codebook_raises_before_scoring(self):
-        # 400k two-molecule index codewords, built straight from arrays: a
-        # chunk of 256 trials needs 256 x J > 1e8 int64 scores
+    def test_wide_codebook_raises_before_scoring(self, monkeypatch):
+        # 400k two-molecule index codewords: a chunk of 256 trials has
+        # 256 x J > 1e8 scores, but a row block holds one trial's
         J, group = 400_000, 640
         k = np.arange(J)
-        cb = Codebook(
-            ScalingParams(M=2, inner_size=2 * group, N=4, J=J),
-            index_based=True,
-            group_size=group,
-            molecules=np.stack([k // group, group + k % group], axis=1),
-            mults=np.ones((J, 2), dtype=np.int64),
-            sizes=np.full(J, 2),
+        cb = array_index_codebook(
+            np.stack([k // group, group + k % group], axis=1), 2 * group, 4
         )
         none = SequencingErrorModel.none()
         assert channel.score_route(cb, none, DIST.rule) == "sparse"
-        with pytest.raises(CapacityError, match="256 x 400000 scores"):
+        assert estimate_error_probability(cb, none, DIST, 256, 1).trials == 256
+        # below J cells, one trial's scores are too many
+        monkeypatch.setattr(channel, "DEFAULT_CELL_CAP", J)
+        with pytest.raises(CapacityError, match="1 x 400000 scores"):
             estimate_error_probability(cb, none, DIST, 256, 1)
 
-    def test_shared_molecules_raise_on_index_entries(self):
+    def test_shared_molecules_raise_on_index_entries(self, monkeypatch):
+        # a trial touches about 35 times its expected index entries, so one
+        # 6,000-trial chunk touches 1.1e8 of them, but one row block
+        # (131 trials) only about 2.3 million
         cb = shared_molecule_codebook()
         none = SequencingErrorModel.none()
         assert channel.score_route(cb, none, DIST.rule) == "sparse"
-        with pytest.raises(CapacityError, match="index entries"):
-            estimate_error_probability(cb, none, DIST, 10_000, 1)
-        # fewer trials per chunk touch fewer entries
-        assert estimate_error_probability(cb, none, DIST, 500, 1).trials == 500
+        assert estimate_error_probability(cb, none, DIST, 6_000, 1).trials == 6_000
+        # a block above the cap raises before it lays out its entries,
+        # which would take 18 MB
+        monkeypatch.setattr(channel, "DEFAULT_CELL_CAP", 1_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="index entries"):
+                estimate_error_probability(cb, none, DIST, 6_000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
+    def test_chunk_draws_raise_before_drawing(self):
+        # a million reads a trial: a chunk of 200 trials would draw 2e8
+        # indices and as many uniforms
+        cb = disjoint_pair_cb(N=1_000_000)
+        model = SequencingErrorModel.random(0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="fewer reads"):
+                estimate_error_probability(cb, model, DIST, 200, 1)
+            with pytest.raises(CapacityError, match="1 trials of 100000001 reads"):
+                run_trial(cb, 0, model, DIST, 1, n_reads=100_000_001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 def full_jitter_trials(ctx, cb, model, dec, rng, msgs, N, route):
@@ -786,34 +835,23 @@ class TestRowBlocks:
                     tied += int(runs[0][0]["tie"].sum())
         assert tied > 0
 
-    def test_capacity_message_counts_the_whole_chunk(self):
-        # refused chunks count every block's index entries, so the message
-        # is that of one whole-chunk block
+    def test_capacity_message_counts_one_block(self, monkeypatch):
+        # the cap counts the scores and index entries of the block it
+        # refuses, so the message names that block's rows
         cb = shared_molecule_codebook()
         none = SequencingErrorModel.none()
-        messages = []
-        for rows in (1 << 30, 7):
+        monkeypatch.setattr(channel, "DEFAULT_CELL_CAP", 1_000_000)
+        for rows in (100, 1000):
             with mock.patch.object(channel, "_block_rows", lambda *args: rows):
-                with pytest.raises(CapacityError) as err:
-                    estimate_error_probability(cb, none, DIST, 10_000, 1)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
+                with pytest.raises(CapacityError, match=f"needs {rows} x 500 scores"):
+                    estimate_error_probability(cb, none, DIST, 6_000, 1)
 
     def test_wide_chunk_memory_is_bounded(self):
         # an index codebook of the mc-wide shape: 500 codewords of 64
         # molecules out of 4,096.  A 2,000-trial chunk touches about 1.5
         # million index entries: laid out whole, as before the row blocks,
         # the estimate peaked at 57 MB; in blocks it takes about 4.4 MB
-        M, group, J = 64, 64, 500
-        rng = np.random.default_rng(5)
-        cb = Codebook(
-            ScalingParams(M=M, inner_size=M * group, N=128, J=J),
-            index_based=True,
-            group_size=group,
-            molecules=rng.integers(0, group, size=(J, M)) + np.arange(M) * group,
-            mults=np.ones((J, M), dtype=np.int64),
-            sizes=np.full(J, M),
-        )
+        cb = random_index_codebook(M=64, inner=4096, J=500, N=128, seed=5)
         model = SequencingErrorModel.random(0.5)
         # the context's tables are built before tracing: they are no chunk's
         assert channel.score_route(cb, model, DIST.rule) == "sparse"

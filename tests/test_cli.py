@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from dnastore import cli, codebook as cbk
+from dnastore import channel, cli, codebook as cbk
 from dnastore.cli import fig1_default_grid, main
 from dnastore.codebook import load_codebook
 
@@ -311,9 +311,10 @@ class TestSimulateCommand:
              "6", "12", "--trials", "500", "--out", str(tmp_path / "sweep.json")]
         ) == 0
 
-    def test_oversized_codebook_exits_4(self, tmp_path):
-        # 500 codewords sharing 56 of their 64 molecules: a chunk's reads
-        # touch more than 1e8 index entries
+    def test_oversized_codebook_exits_4(self, tmp_path, monkeypatch, capsys):
+        # 500 codewords sharing 56 of their 64 molecules: a row block of
+        # 131 trials touches about 2.3 million index entries, above a cap
+        # lowered to a million cells
         rows = [[[m, 1] for m in range(56)] + [[56 + 8 * j + k, 1] for k in range(8)]
                 for j in range(500)]
         cb = cbk.codebook_from_dict(
@@ -323,12 +324,14 @@ class TestSimulateCommand:
         )
         cb_path = tmp_path / "cb.json"
         cbk.save_codebook(cb, cb_path)
+        monkeypatch.setattr(channel, "DEFAULT_CELL_CAP", 1_000_000)
         rc = main(
             ["simulate", "--codebook", str(cb_path), "--trials", "10000",
              "--out", str(tmp_path / "sim.json")]
         )
         assert rc == 4
-        assert not (tmp_path / "sim.json").exists()
+        assert "index entries" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cb.json"]
 
 
 class TestSweepCommand:
@@ -449,3 +452,63 @@ class TestAtomicOutput:
     def test_stdout_unchanged(self, out, capsys):
         cli._dump_json(out, {"a": 1})
         assert json.loads(capsys.readouterr().out) == {"a": 1}
+
+
+class TestConfigOutput:
+    def test_config_supplies_format_and_out(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"format": "csv", "out": str(out), "c": [1.5], "delta": [0.5]}
+        ))
+        assert main(["exponent", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        (row,) = read_csv(out)
+        assert float(row["c"]) == 1.5
+        # explicit flags win
+        flagged = tmp_path / "o.json"
+        assert main(
+            ["exponent", "--config", str(cfg), "--format", "json", "--out", str(flagged)]
+        ) == 0
+        assert read_json(flagged)["rows"][0]["c"] == 1.5
+
+    def test_config_format_is_checked(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml", "out": str(tmp_path / "o.xml")}))
+        assert main(["exponent", "--config", str(cfg)]) == 2
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+CODEBOOK_HEAD = {"format_version": 1, "index_based": False, "group_size": None,
+                 "scaling": {"M": 2, "inner_size": 4, "N": 2, "J": 2}}
+
+
+class TestBadInputFiles:
+    """A bad --config or --codebook file exits 2 with a message, not a
+    traceback, and no output file is written."""
+
+    @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--config", None),
+            ("--config", "{not json"),
+            ("--codebook", None),
+            ("--codebook", "{not json"),
+            ("--codebook", "[]"),
+            ("--codebook", json.dumps(CODEBOOK_HEAD)),
+        ],
+        ids=["missing-config", "config-not-json", "missing-codebook",
+             "codebook-not-json", "codebook-list", "codebook-without-codewords"],
+    )
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, text):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        before = sorted(os.listdir(tmp_path))
+        rc = main(
+            ["simulate", flag, str(path), "--trials", "10",
+             "--out", str(tmp_path / "sim.json")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == before
