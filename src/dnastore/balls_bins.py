@@ -47,6 +47,8 @@ def map_chunks(fn, head: tuple, trials: int, chunk: int, workers: int) -> list:
     """fn(head + (index, size)) for each chunk of trials, in chunk order:
     chunks of chunk trials, only the last one short, run on a pool of
     workers processes when there are several workers and chunks."""
+    if trials < 1 or workers < 1:
+        raise DomainError(f"trials ({trials}) and workers ({workers}) must be positive")
     specs = [
         head + (index, min(chunk, trials - start))
         for index, start in enumerate(range(0, trials, chunk))
@@ -312,8 +314,6 @@ def sample_distinct_count(
         raise DomainError("M must be a positive integer")
     if N < 0:
         raise DomainError("N must be non-negative")
-    if trials < 1:
-        raise DomainError("trials must be positive")
     rows = max(1, 8 * _BLOCK_CELLS // (16 * N + M))
     cells = min(trials, rows) * (N + M)
     if cells > DEFAULT_CELL_CAP:

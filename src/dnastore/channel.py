@@ -45,17 +45,18 @@ to 64 molecules, the distinct-molecule rules take the bits route: a score
 is the popcount of the trial's observed word ANDed with the codeword's
 support word (one uint64 bit per molecule).  Otherwise the dense route
 multiplies the B x inner observed occupancy by the J x inner support matrix
-in float32, in row blocks that BLAS runs on the calling thread, and the
-sparse route, taken when a trial touches far fewer index entries than the
-product's cells, looks each observed molecule up in an inverted index from
-molecule to codewords and adds the hits with one bincount.  All three are
-exact: scores are integers no larger than N, and float32 holds every
-integer below 2^24 (from 2^24 reads on, score_route never picks the dense
-route).  The route changes no output, only time and memory.
+in float32, one product per row block, and the sparse route, taken when a
+trial's reads and index entries are far fewer than the product's cells,
+looks each observed molecule up in an inverted index from molecule to
+codewords and adds the hits with one bincount.  All three are exact:
+scores are integers no larger than N, and float32 holds every integer
+below 2^24 (from 2^24 reads on, score_route never picks the dense route).
+The route changes no output, only time and memory.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import time
@@ -76,26 +77,47 @@ FAILURE_CAUSES = ("none", "outage", "collision", "sequencing", "tie")
 
 _KEY_MASK = (1 << 128) - 1
 
-# score_route takes the sparse route when the dense product's cells per
-# trial (inner * J) exceed this many times the inverted-index entries the
-# kept reads touch; per-chunk timings put the crossover against the float32
-# GEMM between ratios 640 and 2048
-_SPARSE_RATIO = 1024
+# score_route goes sparse when inner * J exceeds this many _sparse_cells, the
+# crossover of forced routes on one BLAS thread for every rule (CHANGES.md)
+_SPARSE_RATIO = 256
 
-# cells of the dense route's J x inner float32 support matrix, above which
-# score_route takes the sparse route.  Forced routes at J x inner = 2^25 and
-# ratio 1024 (M=2, N=32,768 and M=64, N=1,024, both with inner 8,192 and J
-# 4,096) ran 6-50x slower per trial dense than sparse on a 2-vCPU VM
+# cells of the J x inner float32 support matrix above which score_route goes
+# sparse whatever the ratio: at 2^25 dense ran up to 2.3x slower (CHANGES.md)
 _DENSE_CELLS = 1 << 24
 
-# multiply-adds per row block of the dense route's product, which OpenBLAS
-# runs on the calling thread.  One product per chunk (16,384 x 64 x 64 on
-# the criterion-11 shape) wakes a BLAS worker thread that sleeps between
-# chunks, 0.4 ms per wake on a 2-vCPU VM, and a run's speed then hung on
-# whether the worker was still awake (trials_per_s moved by up to a third
-# from run to run).  Shapes whose one-row product exceeds it keep one
-# product per chunk
-_GEMM_MACS = 1 << 18
+
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_BLAS_THREADS = _blas_threads()
+
+
+def _on_one_blas_thread(kernel):
+    """kernel, run with OpenBLAS on the calling thread, so that no product
+    wakes a sleeping BLAS thread or competes with pool workers for cores;
+    the caller's count is restored after.  Unchanged if _BLAS_THREADS is None."""
+    @functools.wraps(kernel)
+    def pinned(*args):
+        if _BLAS_THREADS is None:
+            return kernel(*args)
+        threads = _BLAS_THREADS[0]()
+        _BLAS_THREADS[1](1)
+        try:
+            return kernel(*args)
+        finally:
+            _BLAS_THREADS[1](threads)
+
+    return pinned
 
 
 @dataclass(frozen=True)
@@ -290,21 +312,16 @@ def score_route(
 def _route(ctx, model, rule, n) -> str:
     """score_route on the context, with n reads per trial.
 
-    "bits" serves the distinct-molecule rules whenever the inner codebook
-    has at most 64 molecules.  Otherwise a trial keeps about n reads
-    (n (1-p) under erasures), and each read touches nnz/inner
-    inverted-index entries on average, against inner * J cells of the dense
-    product.  "sparse" sums the index entries into int64 counts; "dense"
-    multiplies by the support matrix in float32, which holds every integer
-    score exactly only below 2^24 reads, so from there on the route is
-    always sparse.  So is it when the J x inner support matrix would exceed
-    _DENSE_CELLS cells."""
+    "bits" serves the distinct-molecule rules up to 64 molecules.  Otherwise
+    "dense" multiplies by the J x inner support matrix in float32, exact
+    only below 2^24 reads, so from there on, or past _DENSE_CELLS cells, the
+    route is "sparse"; so is it when inner * J > _SPARSE_RATIO * _sparse_cells."""
     if ctx.inner <= 64 and rule != "multiplicity_count":
         return "bits"
     if n >= 1 << 24 or ctx.J * ctx.inner > _DENSE_CELLS:
         return "sparse"
-    index_entries = _index_entries(ctx, model, n)
-    return "sparse" if ctx.inner * ctx.J > _SPARSE_RATIO * index_entries else "dense"
+    cells = _sparse_cells(ctx, model, rule, n)
+    return "sparse" if ctx.inner * ctx.J > _SPARSE_RATIO * cells else "dense"
 
 
 def _scores(ctx, rule, reads, route):
@@ -331,13 +348,7 @@ def _scores(ctx, rule, reads, route):
             observed[flat] = True
         observed = observed.reshape(B, inner + 1)[:, :inner]
         sizes = observed.sum(axis=1) if rule == "unique_superset" else None
-        support_t = ctx.support_f.T
-        step = _GEMM_MACS // (J * inner) or max(B, 1)
-        scores = np.empty((B, J), dtype=np.float32)
-        for r in range(0, B, step):
-            block = observed[r : r + step].astype(np.float32)
-            np.matmul(block, support_t, out=scores[r : r + step])
-        return scores, sizes
+        return np.matmul(observed.astype(np.float32), ctx.support_f.T), sizes
     # the sparse route: the index range inv_ptr[m]:inv_ptr[m + 1] of each
     # read (multiplicity_count) or distinct observed molecule, and its row
     sizes = None
@@ -367,29 +378,31 @@ def _scores(ctx, rule, reads, route):
     return np.bincount(keys, minlength=B * J).reshape(B, J), sizes
 
 
-def _index_entries(ctx, model, n) -> float:
-    """Inverted-index entries a trial of n reads touches on average: it
-    keeps about n reads (n (1-p) under erasures), each touching nnz/inner."""
-    kept = n * (1.0 - model.p) if model.kind == "erasure" else n
-    return kept * ctx.nnz / ctx.inner
+def _sparse_cells(ctx, model, rule, n) -> float:
+    """A trial's mean cells on the sparse route: n reads, and nnz/inner index
+    entries per lookup of a kept read (multiplicity_count) or of a distinct
+    molecule, M (1 - e^(-c/M)) of the c = n (1-p) clean reads plus the replaced."""
+    clean = n * (1.0 - model.p)
+    replaced = 0.0 if model.kind == "erasure" else n * model.p
+    lookups = clean if rule == "multiplicity_count" else -ctx.M * math.expm1(-clean / ctx.M)
+    return n + (lookups + replaced) * ctx.nnz / ctx.inner
 
 
-def _block_rows(ctx, model, route, n) -> int:
+def _block_rows(ctx, model, rule, route, n) -> int:
     """Trials per row block of the kernel's deterministic stages: those of
     _BLOCK_CELLS cells, a trial counting its n reads, its J scores and, on
-    the sparse route, its expected index entries or, on the dense route,
-    its inner + 1 occupancy cells, whichever is most.  A codebook whose
+    the sparse route, its _sparse_cells or, on the dense route, its
+    inner + 1 occupancy cells, whichever is most.  A codebook whose
     molecules are shared unevenly touches more entries than expected (500
     codewords sharing 56 of 64 molecules peak at about 55 MB); only the cap
     in _scores bounds such a block."""
-    cells = max(n, ctx.J)
+    cells = max(n, ctx.J, ctx.inner + 1 if route == "dense" else 0)
     if route == "sparse":
-        cells = max(cells, _index_entries(ctx, model, n))
-    elif route == "dense":
-        cells = max(cells, ctx.inner + 1)
+        cells = max(cells, _sparse_cells(ctx, model, rule, n))
     return max(1, int(_BLOCK_CELLS // cells))
 
 
+@_on_one_blas_thread
 def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     """The trial kernel: N reads of each message in msgs pass through the
     error model and the decoder, with draws taken from rng in the order the
@@ -444,7 +457,7 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
         positions = np.empty((B, N), dtype=position_of.dtype)
     S = ctx.support_mask.shape[1]
     parts = []
-    step = _block_rows(ctx, model, route, N) if B > 1 else B
+    step = _block_rows(ctx, model, dec.rule, route, N) if B > 1 else B
     for r in range(0, B, step):
         blk = slice(r, r + step)
         flat = (msgs[blk] * M)[:, None] + sample_idx[blk]
@@ -666,8 +679,6 @@ def estimate_error_probability(
     """Monte-Carlo error probability over i.i.d. trials with uniform random
     messages.  Chunk tallies merge by summation, so the report is identical
     for any worker count."""
-    if trials < 1:
-        raise DomainError("trials must be positive")
     ctx = _context(cb)
     _check_attack_pair(model, ctx.J)
     start = time.perf_counter()

@@ -73,19 +73,7 @@ class Codeword:
 
     def intersection_size(self, other: "Codeword") -> int:
         """Multiset intersection: sum over molecules of min multiplicity."""
-        total = 0
-        i, j = 0, 0
-        a, b = self.pairs, other.pairs
-        while i < len(a) and j < len(b):
-            if a[i][0] == b[j][0]:
-                total += min(a[i][1], b[j][1])
-                i += 1
-                j += 1
-            elif a[i][0] < b[j][0]:
-                i += 1
-            else:
-                j += 1
-        return total
+        return sum((Counter(dict(self.pairs)) & Counter(dict(other.pairs))).values())
 
 
 def _arrays(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -519,14 +507,15 @@ def codebook_from_dict(d: dict) -> Codebook:
     version = d.get("format_version")
     if version != CODEBOOK_FORMAT_VERSION:
         raise DomainError(f"unsupported codebook format version {version!r}")
-    missing = sorted({"scaling", "index_based", "codewords"} - d.keys())
-    if missing:
-        raise DomainError(f"codebook lacks {', '.join(missing)}")
-    molecules, mults, sizes = _arrays(d["codewords"])
+    try:
+        molecules, mults, sizes = _arrays(d["codewords"])
+        scaling = ScalingParams.from_dict(d["scaling"])
+        index_based = bool(d["index_based"])
+        group_size = None if d.get("group_size") is None else int(d["group_size"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed codebook: {type(exc).__name__}: {exc}") from exc
     return Codebook(
-        scaling=ScalingParams.from_dict(d["scaling"]),
-        index_based=bool(d["index_based"]),
-        group_size=None if d.get("group_size") is None else int(d["group_size"]),
+        scaling=scaling, index_based=index_based, group_size=group_size,
         molecules=molecules, mults=mults, sizes=sizes,
     )
 

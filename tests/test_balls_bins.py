@@ -260,6 +260,11 @@ class TestSampling:
         c = sample_distinct_count(17, 40, trials=40_000, seed=5, workers=2)
         assert a.counts.tolist() == b.counts.tolist() == c.counts.tolist()
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(DomainError, match="workers"):
+            sample_distinct_count(17, 40, trials=40_000, seed=5, workers=workers)
+
     def test_within_four_sigma_of_dp(self):
         M, N = 30, 45
         res = sample_distinct_count(M, N, trials=50_000, seed=123)

@@ -245,6 +245,14 @@ class TestEstimator:
         c = estimate_error_probability(cb, model, DIST, 30_000, 99, workers=3)
         assert a.comparable_dict() == b.comparable_dict() == c.comparable_dict()
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        cb = overlapping_pair_cb()
+        with pytest.raises(DomainError, match="workers"):
+            estimate_error_probability(
+                cb, SequencingErrorModel.none(), DIST, 1_000, 9, workers=workers
+            )
+
     def test_model_ordering(self):
         # erasures only remove information; the paired attack dominates
         # uniform replacement
@@ -462,6 +470,7 @@ class TestScoreRoutes:
             greedy_index_codebook(
                 ScalingParams(M=16, inner_size=64, N=32, J=64), 12, 64, 20, 100_000
             ),
+            random_index_codebook(M=32, inner=1024, J=200, N=64),
         ]
         decoders = [DecoderConfig(rule, epsilon=0.13) for rule in channel.DECODER_RULES]
         cases = [
@@ -504,11 +513,19 @@ class TestScoreRoutes:
         assert channel.score_route(narrow, none, mult, n_reads=1 << 24) == "sparse"
         assert channel.score_route(narrow, none, DIST.rule, n_reads=1 << 24) == "bits"
         # a mid-width codebook, 200 codewords of 128 molecules out of 1,024:
-        # dense, as its 200 x 1,024 support matrix is all the cap counts (a
-        # whole chunk's occupancy, once counted too, held over 2^24 cells)
+        # a trial looks up so many index entries that the product is cheaper
         mid = random_index_codebook(M=128, inner=1024, J=200, N=256)
         for rule in channel.DECODER_RULES:
             assert channel.score_route(mid, random, rule) == "dense"
+        # 64 codewords of 64 molecules out of 2,048, 256 reads: the distinct
+        # rules look up about 63 molecules a trial, multiplicity_count all
+        # 256 reads (forced routes: 6.5 against 13.1 us a trial sparse for
+        # distinct_intersection, 10.4 against 13.4 us dense for
+        # multiplicity_count)
+        found = random_index_codebook(M=64, inner=2048, J=64, N=256)
+        none = SequencingErrorModel.none()
+        assert channel.score_route(found, none, DIST.rule) == "sparse"
+        assert channel.score_route(found, none, MULT.rule) == "dense"
 
     @pytest.mark.parametrize("inner", [3, 63, 64])
     def test_bits_route_drops_the_sentinel(self, inner):
@@ -530,14 +547,15 @@ class TestScoreRoutes:
 
     def test_dense_route_keeps_to_its_cell_budget(self, monkeypatch):
         # 4,096 two-molecule index codewords out of 8,192 molecules and
-        # 32,768 reads: the shape rule alone reads dense (ratio 1,024), but
-        # the J x inner support matrix would hold 2^25 cells
+        # 131,072 reads, all of them looked up by multiplicity_count: the
+        # ratio rule alone reads dense, but the J x inner support matrix
+        # would hold 2^25 cells
         k = np.arange(4096)
-        cb = array_index_codebook(np.stack([k, 4096 + k], axis=1), 8192, 32_768)
+        cb = array_index_codebook(np.stack([k, 4096 + k], axis=1), 8192, 1 << 17)
         none = SequencingErrorModel.none()
-        assert channel.score_route(cb, none, DIST.rule) == "sparse"
+        assert channel.score_route(cb, none, MULT.rule) == "sparse"
         monkeypatch.setattr(channel, "_DENSE_CELLS", 1 << 40)
-        assert channel.score_route(cb, none, DIST.rule) == "dense"
+        assert channel.score_route(cb, none, MULT.rule) == "dense"
 
     @settings(max_examples=100, deadline=None)
     @given(cb=small_codebooks())
@@ -790,6 +808,57 @@ def assert_same_runs(runs, what):
             assert column.dtype == out[key].dtype, (what, key)
             assert np.array_equal(column, out[key]), (what, key)
         assert next_draw == after, what
+
+
+class TestBlasThreads:
+    """The kernel runs numpy's OpenBLAS on the calling thread and gives the
+    caller's thread count back; without the library's symbols it runs as
+    it is, to the same outputs."""
+
+    @pytest.mark.skipif(channel._BLAS_THREADS is None, reason="no OpenBLAS symbols")
+    def test_kernel_restores_the_thread_count(self, monkeypatch):
+        get, put = channel._BLAS_THREADS
+        cb = cap_codebook(J=8)
+        none = SequencingErrorModel.none()
+        assert channel.score_route(cb, none, MULT.rule) == "dense"
+        seen = []
+        scores = channel._scores
+
+        def spy(*args):
+            seen.append(get())
+            return scores(*args)
+
+        monkeypatch.setattr(channel, "_scores", spy)
+        before = get()
+        put(2)
+        try:
+            estimate_error_probability(cb, none, MULT, 3_000, 1)
+            assert get() == 2
+        finally:
+            put(before)
+        assert seen and set(seen) == {1}
+
+    def test_outputs_without_the_symbols(self, monkeypatch):
+        cb = cap_codebook(J=8)
+        models = [SequencingErrorModel.none(), SequencingErrorModel.random(0.3)]
+        assert {channel.score_route(cb, m, MULT.rule) for m in models} == {"dense"}
+
+        def outputs():
+            reports = [
+                estimate_error_probability(cb, m, MULT, 20_000, 7).comparable_dict()
+                for m in models
+            ]
+            return reports, [run_trial(cb, 3, m, MULT, 11) for m in models]
+
+        expect = outputs()
+
+        def missing(*args, **kwargs):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(channel.ctypes, "CDLL", missing)
+        monkeypatch.setattr(channel, "_BLAS_THREADS", channel._blas_threads())
+        assert channel._BLAS_THREADS is None
+        assert outputs() == expect
 
 
 class TestRowBlocks:

@@ -370,21 +370,25 @@ class TestSweepCommand:
         assert rows[1]["p_hat"] <= rows[0]["p_hat"] + 0.05
 
     def test_score_route_per_value(self, tmp_path):
-        cb_path = tmp_path / "cb.json"
-        assert main(
-            ["codebook", "--M", "8", "--inner-size", "32", "--N", "12",
-             "--target-J", "16", "--cap", "6", "--seed", "5", "--out", str(cb_path)]
-        ) == 0
         out = tmp_path / "sweep.json"
         # 32 molecules fit one word, whatever survives the erasures; counting
-        # reads, so few survive p = 0.995 that the index beats the GEMM
-        for rule, routes in (
-            ("distinct_intersection", ["bits", "bits"]),
-            ("multiplicity_count", ["dense", "sparse"]),
-        ):
+        # reads out of 256 molecules, so few survive p = 0.9 that the index
+        # beats the GEMM (forced routes: 1.1 against 1.6 us a trial dense at
+        # p = 0.05, 1.05 against 1.35 us sparse at p = 0.9)
+        cases = (
+            (["--M", "8", "--inner-size", "32", "--N", "12", "--target-J", "16"],
+             "distinct_intersection", ["bits", "bits"]),
+            (["--M", "16", "--inner-size", "256", "--N", "16", "--target-J", "64"],
+             "multiplicity_count", ["dense", "sparse"]),
+        )
+        for build, rule, routes in cases:
+            cb_path = tmp_path / "cb.json"
+            assert main(
+                ["codebook", *build, "--cap", "6", "--seed", "5", "--out", str(cb_path)]
+            ) == 0
             assert main(
                 ["sweep", "--codebook", str(cb_path), "--model", "erasure",
-                 "--decoder", rule, "--param", "p", "--values", "0.5", "0.995",
+                 "--decoder", rule, "--param", "p", "--values", "0.05", "0.9",
                  "--trials", "500", "--out", str(out)]
             ) == 0
             assert read_json(out)["metadata"]["score_route"] == routes
@@ -496,9 +500,15 @@ class TestBadInputFiles:
             ("--codebook", "{not json"),
             ("--codebook", "[]"),
             ("--codebook", json.dumps(CODEBOOK_HEAD)),
+            ("--codebook", json.dumps(
+                {**CODEBOOK_HEAD, "scaling": {"inner_size": 4, "N": 2}, "codewords": []}
+            )),
+            ("--codebook", json.dumps({**CODEBOOK_HEAD, "codewords": [[1, 2]]})),
+            ("--codebook", json.dumps({**CODEBOOK_HEAD, "scaling": "x", "codewords": []})),
         ],
         ids=["missing-config", "config-not-json", "missing-codebook",
-             "codebook-not-json", "codebook-list", "codebook-without-codewords"],
+             "codebook-not-json", "codebook-list", "codebook-without-codewords",
+             "scaling-without-M", "codeword-of-numbers", "scaling-not-object"],
     )
     def test_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, text):
         path = tmp_path / "input.json"
@@ -512,3 +522,15 @@ class TestBadInputFiles:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_2(tmp_path, capsys, workers):
+    out = tmp_path / "sim.json"
+    rc = main(
+        ["simulate", "--M", "8", "--inner-size", "32", "--N", "8", "--target-J", "8",
+         "--cap", "7", "--trials", "100", "--workers", workers, "--out", str(out)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
