@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +53,11 @@ def map_chunks(fn, head: tuple, trials: int, chunk: int, workers: int) -> list:
         for index, start in enumerate(range(0, trials, chunk))
     ]
     if workers > 1 and len(specs) > 1:
-        # one chunk per task: batched chunks leave a worker idle when the
-        # batches do not divide evenly among the workers
+        # imported here, as it loads multiprocessing, which no other run
+        # needs.  One chunk per task: batched chunks leave a worker idle
+        # when the batches do not divide evenly among the workers
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, specs))
     return [fn(spec) for spec in specs]

@@ -38,11 +38,22 @@ codebook's separation scan, ``Codebook.max_intersection``, is read only by
 the unique_superset coverage flag and the single-trial separation flag, so
 no other run scans; the context holds no codebook.
 
-Decoder scores (per trial and codeword, the distinct observed molecules the
-codeword holds, or its reads for multiplicity_count) take one of three
-routes, which ``score_route`` picks from the shape and the rule alone.  Up
-to 64 molecules, the distinct-molecule rules take the bits route: a score
-is the popcount of the trial's observed word ANDed with the codeword's
+The decision takes one of four routes, which ``score_route`` picks from the
+shape, the model and the rule alone.  Up to 64 codewords, the cover route
+decides without scores wherever the top codewords are those whose support
+covers the observed molecules: under the none and erasure models (every
+kept read comes from the sent codeword, which thus has the largest score
+of every rule, and a codeword ties it iff it covers them) and for
+unique_superset under every model (its decision is that cover set).  A
+trial's cover word is the AND of one uint64 word per read, bit j set when
+codeword j holds the read's molecule (every bit for an erasure); its
+popcount is the top count, and its lowest set bit the first top codeword.
+The tie-break draws exactly as on the score routes.
+
+Otherwise decoder scores (per trial and codeword, the distinct observed
+molecules the codeword holds, or its reads for multiplicity_count) take one
+of three routes.  Up to 64 molecules, the distinct-molecule rules take the
+bits route: a score is the popcount of the trial's observed word ANDed with the codeword's
 support word (one uint64 bit per molecule).  Otherwise the dense route
 multiplies the B x inner observed occupancy by the J x inner support matrix
 in float32, one product per row block, and the sparse route, taken when a
@@ -51,7 +62,7 @@ looks each observed molecule up in an inverted index from molecule to
 codewords and adds the hits with one bincount.  All three are exact:
 scores are integers no larger than N, and float32 holds every integer
 below 2^24 (from 2^24 reads on, score_route never picks the dense route).
-The route changes no output, only time and memory.
+The route changes no output and no draw, only time and memory.
 """
 
 from __future__ import annotations
@@ -286,6 +297,17 @@ class _Context:
         support[np.arange(self.J)[:, None], self.expanded] = 1.0
         return support
 
+    @functools.cached_property
+    def cover_bits(self) -> np.ndarray:
+        """inner + 1 uint64 words of the cover route (J <= 64): bit j of word
+        m is set when codeword j holds molecule m.  The erasure sentinel
+        inner holds every codeword, the identity of the AND."""
+        cover = np.zeros(self.inner + 1, dtype=np.uint64)
+        bits = np.left_shift(np.uint64(1), np.arange(self.J, dtype=np.uint64))
+        np.bitwise_or.at(cover, self.expanded, bits[:, None])
+        cover[self.inner] = _MASK64 >> (64 - self.J)
+        return cover
+
 
 # one context per live codebook; a context must hold no reference to its
 # codebook, or the weak key never dies and the entry is never freed
@@ -303,8 +325,9 @@ def _context(cb: Codebook) -> _Context:
 def score_route(
     cb: Codebook, model: SequencingErrorModel, rule: str, n_reads: int | None = None
 ) -> str:
-    """Route of the decoder scores for cb under model and the decoder rule,
-    with n_reads reads per trial (default N); it depends on no draw."""
+    """Route of the decision for cb under model and the decoder rule, with
+    n_reads reads per trial (default N): "cover", "bits", "dense" or
+    "sparse", as _route gives; it depends on no draw."""
     ctx = _context(cb)
     return _route(ctx, model, rule, ctx.N if n_reads is None else n_reads)
 
@@ -312,10 +335,16 @@ def score_route(
 def _route(ctx, model, rule, n) -> str:
     """score_route on the context, with n reads per trial.
 
-    "bits" serves the distinct-molecule rules up to 64 molecules.  Otherwise
-    "dense" multiplies by the J x inner support matrix in float32, exact
-    only below 2^24 reads, so from there on, or past _DENSE_CELLS cells, the
-    route is "sparse"; so is it when inner * J > _SPARSE_RATIO * _sparse_cells."""
+    "cover" decides by cover words, without scores, up to 64 codewords
+    under the none and erasure models (p = 0 counts as none, as in
+    _trials) and for unique_superset under every model.  Otherwise "bits"
+    serves the distinct-molecule rules up to 64 molecules, and "dense"
+    multiplies by the J x inner support matrix in float32, exact only below
+    2^24 reads, so from there on, or past _DENSE_CELLS cells, the route is
+    "sparse"; so is it when inner * J > _SPARSE_RATIO * _sparse_cells."""
+    kind = "none" if model.p == 0.0 else model.kind
+    if ctx.J <= 64 and (kind in ("none", "erasure") or rule == "unique_superset"):
+        return "cover"
     if ctx.inner <= 64 and rule != "multiplicity_count":
         return "bits"
     if n >= 1 << 24 or ctx.J * ctx.inner > _DENSE_CELLS:
@@ -412,7 +441,11 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     first draw when it holds more than DEFAULT_CELL_CAP reads; the masks of
     the model's uniforms replace them at once.  Every later stage, and the
     tie-break draw, runs in row blocks of _block_rows trials, whose
-    per-trial results are joined after the last block.
+    per-trial results are joined after the last block.  On the cover route
+    a block's decision is its cover words (module docstring): the k-th top
+    codeword of a tied row is its k-th set bit, for the same k drawn in the
+    same order as on the score routes, which are taken only when route
+    names them, so that a forced score route runs its own code.
 
     Returns per-trial arrays: decoded (-1 where unique_superset finds no
     single containing codeword), wrong, distinct, errors, tie and positions
@@ -485,18 +518,26 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
                 reads += (target_b[idx_b[blk]] - sampled) * from_b[blk]
             errors = (reads != sampled).sum(axis=1)
 
-        scores, observed_sizes = _scores(ctx, dec.rule, reads, route)
-        if dec.rule == "unique_superset":
-            covering = scores == observed_sizes[:, None]
-            n_candidates = covering.sum(axis=1)
-            decoded = np.where(n_candidates == 1, np.argmax(covering, axis=1), -1)
-            tie = np.zeros(decoded.shape, dtype=bool)
+        # the top codewords (for unique_superset those covering the observed
+        # molecules), their count and the first of them
+        if route == "cover":
+            cover = np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1)
+            n_top = np.bitwise_count(cover)
+            # the lowest set bit is the count of the bits below it
+            decoded = np.bitwise_count((cover & -cover) - np.uint64(1)).astype(np.intp)
         else:
-            # scores are never NaN, and fmax reduces faster than max
-            at_top = scores == np.fmax.reduce(scores, axis=1)[:, None]
-            # the first top codeword, which untied rows decode to
+            scores, observed_sizes = _scores(ctx, dec.rule, reads, route)
+            if dec.rule == "unique_superset":
+                at_top = scores == observed_sizes[:, None]
+            else:
+                # scores are never NaN, and fmax reduces faster than max
+                at_top = scores == np.fmax.reduce(scores, axis=1)[:, None]
             decoded = np.argmax(at_top, axis=1)
             n_top = np.count_nonzero(at_top, axis=1)
+        if dec.rule == "unique_superset":
+            decoded[n_top != 1] = -1
+            tie = np.zeros(decoded.shape, dtype=bool)
+        else:
             tie = n_top > 1
             tied = np.flatnonzero(tie)
             if tied.size:
@@ -505,7 +546,12 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
                 # k.  Bounded draws take the stream one value at a time, so
                 # the blocks' draws are those of one draw after the loop
                 k = rng.integers(0, n_top[tied])
-                ranks = np.cumsum(at_top[tied], axis=1)
+                if route == "cover":
+                    words = cover[tied].astype("<u8").view(np.uint8).reshape(-1, 8)
+                    top = np.unpackbits(words, axis=1, bitorder="little")
+                else:
+                    top = at_top[tied]
+                ranks = np.cumsum(top, axis=1)
                 decoded[tied] = np.argmax(ranks > k[:, None], axis=1)
         parts.append((decoded, distinct, errors, tie))
     decoded, distinct, errors, tie = map(np.concatenate, zip(*parts))

@@ -1,8 +1,13 @@
+import concurrent.futures
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -243,6 +248,17 @@ class TestChunks:
         assert sum(sizes) == trials
         assert set(sizes[:-1]) <= {chunk} and 1 <= sizes[-1] <= chunk
         assert map_chunks(echo, ("head", 7), trials, chunk, 2) == got
+
+    def test_import_loads_no_pool(self):
+        # the pool's module (and multiprocessing) loads when a pool starts
+        code = (
+            "import sys, dnastore, dnastore.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)"
+        )
+        path = [str(Path(balls_bins.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        run = subprocess.run([sys.executable, "-c", code], env=env)
+        assert run.returncode == 0
 
 
 class TestSampling:
@@ -492,7 +508,7 @@ class TestOccupancyKernel:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(balls_bins, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         tracemalloc.start()
         try:
             # one trial alone breaks the cap, by its draws or by its bins

@@ -331,12 +331,12 @@ def route_models(J):
 
 
 @st.composite
-def small_codebooks(draw):
+def small_codebooks(draw, sizes=st.integers(1, 6)):
     """Index codebooks, or multiset codebooks whose codewords draw molecules
     from narrow windows, so multiplicities exceed 1 and supports differ in
-    size; codewords may repeat, so scores tie."""
+    size; codewords may repeat, so scores tie.  sizes draws J."""
     M = draw(st.integers(2, 6))
-    J = draw(st.integers(1, 6))
+    J = draw(sizes)
     N = draw(st.integers(1, 12))
     if draw(st.booleans()):
         group = draw(st.integers(2, 4))
@@ -493,36 +493,37 @@ class TestScoreRoutes:
         assert got == expect
 
     def test_route_follows_shape(self):
+        # 65 codewords, one past the cover route
         wide = greedy_index_codebook(
-            ScalingParams(M=8, inner_size=1024, N=16, J=64), 3, 64, 1, 10_000
+            ScalingParams(M=8, inner_size=1024, N=16, J=65), 3, 65, 1, 10_000
         )
         random = SequencingErrorModel.random(0.5)
         for rule in channel.DECODER_RULES:
             assert channel.score_route(wide, random, rule) == "sparse"
-        # the criterion-11 shape: 64 molecules fit one word
+        # the criterion-11 shape: 64 molecules fit one word; the models that
+        # replace reads keep the score routes for the rules that score
         narrow = greedy_index_codebook(
             ScalingParams(M=16, inner_size=64, N=32, J=64), 12, 64, 20, 100_000
         )
-        for model in route_models(len(narrow)):
-            for rule in ("distinct_intersection", "unique_superset"):
-                assert channel.score_route(narrow, model, rule) == "bits"
+        for model in (random, SequencingErrorModel.adversarial(0.4, (0, 63))):
+            assert channel.score_route(narrow, model, DIST.rule) == "bits"
             assert channel.score_route(narrow, model, "multiplicity_count") == "dense"
         # float32 stops holding every integer score from 2^24 reads on
-        none, mult = SequencingErrorModel.none(), "multiplicity_count"
-        assert channel.score_route(narrow, none, mult, n_reads=(1 << 24) - 1) == "dense"
-        assert channel.score_route(narrow, none, mult, n_reads=1 << 24) == "sparse"
-        assert channel.score_route(narrow, none, DIST.rule, n_reads=1 << 24) == "bits"
+        mult = "multiplicity_count"
+        assert channel.score_route(narrow, random, mult, n_reads=(1 << 24) - 1) == "dense"
+        assert channel.score_route(narrow, random, mult, n_reads=1 << 24) == "sparse"
+        assert channel.score_route(narrow, random, DIST.rule, n_reads=1 << 24) == "bits"
         # a mid-width codebook, 200 codewords of 128 molecules out of 1,024:
         # a trial looks up so many index entries that the product is cheaper
         mid = random_index_codebook(M=128, inner=1024, J=200, N=256)
         for rule in channel.DECODER_RULES:
             assert channel.score_route(mid, random, rule) == "dense"
-        # 64 codewords of 64 molecules out of 2,048, 256 reads: the distinct
+        # 65 codewords of 64 molecules out of 2,048, 256 reads: the distinct
         # rules look up about 63 molecules a trial, multiplicity_count all
-        # 256 reads (forced routes: 6.5 against 13.1 us a trial sparse for
-        # distinct_intersection, 10.4 against 13.4 us dense for
-        # multiplicity_count)
-        found = random_index_codebook(M=64, inner=2048, J=64, N=256)
+        # 256 reads (forced routes at 64 codewords: 6.5 against 13.1 us a
+        # trial sparse for distinct_intersection, 10.4 against 13.4 us dense
+        # for multiplicity_count)
+        found = random_index_codebook(M=64, inner=2048, J=65, N=256)
         none = SequencingErrorModel.none()
         assert channel.score_route(found, none, DIST.rule) == "sparse"
         assert channel.score_route(found, none, MULT.rule) == "dense"
@@ -573,11 +574,125 @@ class TestScoreRoutes:
                 for cw in cws
             ]
             assert np.array_equal(ctx.positions, np.stack(positions))
+        if ctx.J <= 64:
+            held = [sum(1 << j for j, cw in enumerate(cws) if m in cw.support)
+                    for m in range(ctx.inner)]
+            assert ctx.cover_bits.tolist() == held + [(1 << ctx.J) - 1]
         assert ctx.inv_ptr.shape == (ctx.inner + 2,)
         assert ctx.nnz == sizes.sum() == ctx.inv_ptr[-1]
         for m in range(ctx.inner + 1):
             holders = [j for j, cw in enumerate(cws) if m in cw.support]
             assert ctx.inv_idx[ctx.inv_ptr[m] : ctx.inv_ptr[m + 1]].tolist() == holders
+
+
+def cover_runs(ctx, model, dec, seed, B, routes):
+    """(kernel output, next draw of its generator) on each forced route."""
+    runs = []
+    for route in routes:
+        rng = np.random.default_rng(seed)
+        msgs = rng.integers(0, ctx.J, size=B)
+        out = channel._trials(ctx, model, dec, rng, msgs, ctx.N, route)
+        runs.append((out, rng.integers(0, 1 << 62)))
+    return runs
+
+
+class TestCoverRoute:
+    """The cover route decides as every score route does, draws included,
+    wherever score_route picks it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        cb=small_codebooks(sizes=st.one_of(st.just(64), st.integers(1, 64))),
+        B=st.integers(1, 12),
+        p=st.one_of(st.just(0.95), st.floats(0.0, 0.95)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_cover_matches_score_routes(self, cb, B, p, seed):
+        ctx = channel._Context(cb)
+        J = ctx.J
+        cases = [
+            (model, rule)
+            for model in (SequencingErrorModel.none(), SequencingErrorModel.erasure(p))
+            for rule in channel.DECODER_RULES
+        ]
+        cases.append((SequencingErrorModel.random(p), "unique_superset"))
+        if J >= 2:
+            attack = SequencingErrorModel.adversarial(p, (0, J - 1))
+            cases.append((attack, "unique_superset"))
+        for model, rule in cases:
+            assert channel._route(ctx, model, rule, ctx.N) == "cover"
+            dec = DecoderConfig(rule, epsilon=0.13)
+            routes = ("cover",) + routes_for(rule, ctx.inner)
+            assert_same_runs(cover_runs(ctx, model, dec, seed, B, routes), (model, rule))
+
+    def test_erased_and_uncovered_rows(self):
+        # 64 codewords over 2 of the 8 molecules of each group, 3 reads:
+        # most erasure rows lose every read and tie all 64 codewords, and
+        # most replacements are molecules that no codeword holds
+        molecules = (np.arange(64)[:, None] >> np.arange(8)) % 2 + np.arange(8) * 8
+        cb = array_index_codebook(molecules, 64, 3)
+        ctx = channel._Context(cb)
+        B = 2_000
+        for rule in channel.DECODER_RULES:
+            model, dec = SequencingErrorModel.erasure(0.95), DecoderConfig(rule)
+            runs = cover_runs(ctx, model, dec, 4, B, ("cover",) + routes_for(rule, 64))
+            assert_same_runs(runs, rule)
+            out = runs[0][0]
+            erased = out["errors"] == 3
+            assert erased.sum() > B // 2
+            if rule == "unique_superset":
+                assert (out["decoded"][erased] == -1).all()
+            else:
+                assert out["tie"][erased].all()
+        dec = DecoderConfig("unique_superset")
+        for model in (
+            SequencingErrorModel.random(0.9),
+            SequencingErrorModel.adversarial(0.9, (0, 63)),
+        ):
+            runs = cover_runs(ctx, model, dec, 4, B, ("cover",) + ROUTES)
+            assert_same_runs(runs, model)
+        # the random model's reads, drawn in the kernel's order: rows whose
+        # cover word is 0 decode to nothing
+        rng = np.random.default_rng(4)
+        msgs = rng.integers(0, 64, size=B)
+        sampled = ctx.expanded[msgs[:, None], rng.integers(0, 8, size=(B, 3))]
+        replaced = rng.random((B, 3)) < 0.9
+        reads = np.where(replaced, rng.integers(0, 64, size=(B, 3)), sampled)
+        cover = np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1)
+        out = cover_runs(ctx, SequencingErrorModel.random(0.9), dec, 4, B, ["cover"])[0][0]
+        assert (cover == 0).sum() > B // 2
+        assert (out["decoded"][cover == 0] == -1).all()
+        assert np.array_equal(out["errors"], (reads != sampled).sum(axis=1))
+
+    def test_route_rule(self):
+        def codebook_of(J):
+            return random_index_codebook(M=8, inner=64, J=J, N=16)
+
+        at, past = codebook_of(64), codebook_of(65)
+        pair = (0, 1)
+        models = {
+            "none": SequencingErrorModel.none(),
+            "erasure": SequencingErrorModel.erasure(0.5),
+            "random": SequencingErrorModel.random(0.5),
+            "adversarial": SequencingErrorModel.adversarial(0.5, pair),
+        }
+        for rule in channel.DECODER_RULES:
+            for kind, model in models.items():
+                covers = kind in ("none", "erasure") or rule == "unique_superset"
+                assert (channel.score_route(at, model, rule) == "cover") == covers
+                assert channel.score_route(past, model, rule) != "cover"
+            # p = 0 is the none model, whatever the kind
+            for zero in (
+                SequencingErrorModel.erasure(0.0),
+                SequencingErrorModel.random(0.0),
+                SequencingErrorModel.adversarial(0.0, pair),
+            ):
+                assert channel.score_route(at, zero, rule) == "cover"
+                assert channel.score_route(past, zero, rule) != "cover"
+        # the replacing models keep their score routes for the scoring rules
+        for rule in ("distinct_intersection", "multiplicity_count"):
+            for kind in ("random", "adversarial"):
+                assert channel.score_route(at, models[kind], rule) in ROUTES
 
 
 def shared_molecule_codebook(J=500, M=64, inner=4096, shared=56):
@@ -819,8 +934,8 @@ class TestBlasThreads:
     def test_kernel_restores_the_thread_count(self, monkeypatch):
         get, put = channel._BLAS_THREADS
         cb = cap_codebook(J=8)
-        none = SequencingErrorModel.none()
-        assert channel.score_route(cb, none, MULT.rule) == "dense"
+        model = SequencingErrorModel.random(0.3)
+        assert channel.score_route(cb, model, MULT.rule) == "dense"
         seen = []
         scores = channel._scores
 
@@ -832,7 +947,7 @@ class TestBlasThreads:
         before = get()
         put(2)
         try:
-            estimate_error_probability(cb, none, MULT, 3_000, 1)
+            estimate_error_probability(cb, model, MULT, 3_000, 1)
             assert get() == 2
         finally:
             put(before)
@@ -840,7 +955,10 @@ class TestBlasThreads:
 
     def test_outputs_without_the_symbols(self, monkeypatch):
         cb = cap_codebook(J=8)
-        models = [SequencingErrorModel.none(), SequencingErrorModel.random(0.3)]
+        models = [
+            SequencingErrorModel.random(0.3),
+            SequencingErrorModel.adversarial(0.3, (0, 7)),
+        ]
         assert {channel.score_route(cb, m, MULT.rule) for m in models} == {"dense"}
 
         def outputs():

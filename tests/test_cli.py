@@ -371,14 +371,15 @@ class TestSweepCommand:
 
     def test_score_route_per_value(self, tmp_path):
         out = tmp_path / "sweep.json"
-        # 32 molecules fit one word, whatever survives the erasures; counting
-        # reads out of 256 molecules, so few survive p = 0.9 that the index
-        # beats the GEMM (forced routes: 1.1 against 1.6 us a trial dense at
-        # p = 0.05, 1.05 against 1.35 us sparse at p = 0.9)
+        # up to 64 codewords, erasures are decided by cover words at every p;
+        # past them, counting reads out of 256 molecules, so few survive
+        # p = 0.9 that the index beats the GEMM (forced routes at 64
+        # codewords: 1.1 against 1.6 us a trial dense at p = 0.05, 1.05
+        # against 1.35 us sparse at p = 0.9)
         cases = (
             (["--M", "8", "--inner-size", "32", "--N", "12", "--target-J", "16"],
-             "distinct_intersection", ["bits", "bits"]),
-            (["--M", "16", "--inner-size", "256", "--N", "16", "--target-J", "64"],
+             "distinct_intersection", ["cover", "cover"]),
+            (["--M", "16", "--inner-size", "256", "--N", "16", "--target-J", "65"],
              "multiplicity_count", ["dense", "sparse"]),
         )
         for build, rule, routes in cases:
