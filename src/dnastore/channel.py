@@ -40,29 +40,28 @@ no other run scans; the context holds no codebook.
 
 The decision takes one of four routes, which ``score_route`` picks from the
 shape, the model and the rule alone.  Up to 64 codewords, the cover route
-decides without scores wherever the top codewords are those whose support
+decides without scores where the top codewords are those whose support
 covers the observed molecules: under the none and erasure models (every
-kept read comes from the sent codeword, which thus has the largest score
-of every rule, and a codeword ties it iff it covers them) and for
+kept read comes from the sent codeword, whose score is thus the largest
+under every rule, and a codeword ties it iff it covers them) and for
 unique_superset under every model (its decision is that cover set).  A
 trial's cover word is the AND of one uint64 word per read, bit j set when
 codeword j holds the read's molecule (every bit for an erasure); its
 popcount is the top count, and its lowest set bit the first top codeword.
-The tie-break draws exactly as on the score routes.
 
 Otherwise decoder scores (per trial and codeword, the distinct observed
 molecules the codeword holds, or its reads for multiplicity_count) take one
 of three routes.  Up to 64 molecules, the distinct-molecule rules take the
-bits route: a score is the popcount of the trial's observed word ANDed with the codeword's
-support word (one uint64 bit per molecule).  Otherwise the dense route
-multiplies the B x inner observed occupancy by the J x inner support matrix
-in float32, one product per row block, and the sparse route, taken when a
-trial's reads and index entries are far fewer than the product's cells,
-looks each observed molecule up in an inverted index from molecule to
-codewords and adds the hits with one bincount.  All three are exact:
-scores are integers no larger than N, and float32 holds every integer
-below 2^24 (from 2^24 reads on, score_route never picks the dense route).
-The route changes no output and no draw, only time and memory.
+bits route: a score is the popcount of the trial's observed word ANDed with
+the codeword's support word (one uint64 bit per molecule).  Otherwise the
+dense route multiplies the B x inner observed occupancy by the J x inner
+support matrix in float32, one product per row block, and the sparse route,
+taken when a trial's reads and index entries are far fewer than the
+product's cells, looks each observed molecule up in an inverted index from
+molecule to codewords and adds the hits with one bincount.  All three are
+exact: scores are integers no larger than N, and float32 holds every
+integer below 2^24 (from 2^24 reads on, score_route never picks the dense
+route).  The route changes no output and no draw, only time and memory.
 """
 
 from __future__ import annotations
@@ -441,11 +440,10 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     first draw when it holds more than DEFAULT_CELL_CAP reads; the masks of
     the model's uniforms replace them at once.  Every later stage, and the
     tie-break draw, runs in row blocks of _block_rows trials, whose
-    per-trial results are joined after the last block.  On the cover route
-    a block's decision is its cover words (module docstring): the k-th top
-    codeword of a tied row is its k-th set bit, for the same k drawn in the
-    same order as on the score routes, which are taken only when route
-    names them, so that a forced score route runs its own code.
+    per-trial results are joined after the last block.  The cover route
+    decides by cover words (module docstring), and a tied row takes the
+    k-th set bit of its word for the k the score routes draw; only a route
+    of "cover" takes it, so a forced score route runs its own code.
 
     Returns per-trial arrays: decoded (-1 where unique_superset finds no
     single containing codeword), wrong, distinct, errors, tie and positions

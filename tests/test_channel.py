@@ -587,13 +587,7 @@ class TestScoreRoutes:
 
 def cover_runs(ctx, model, dec, seed, B, routes):
     """(kernel output, next draw of its generator) on each forced route."""
-    runs = []
-    for route in routes:
-        rng = np.random.default_rng(seed)
-        msgs = rng.integers(0, ctx.J, size=B)
-        out = channel._trials(ctx, model, dec, rng, msgs, ctx.N, route)
-        runs.append((out, rng.integers(0, 1 << 62)))
-    return runs
+    return [blocked_runs(ctx, model, dec, seed, B, ctx.N, r, [B])[0] for r in routes]
 
 
 class TestCoverRoute:
@@ -689,10 +683,6 @@ class TestCoverRoute:
             ):
                 assert channel.score_route(at, zero, rule) == "cover"
                 assert channel.score_route(past, zero, rule) != "cover"
-        # the replacing models keep their score routes for the scoring rules
-        for rule in ("distinct_intersection", "multiplicity_count"):
-            for kind in ("random", "adversarial"):
-                assert channel.score_route(at, models[kind], rule) in ROUTES
 
 
 def shared_molecule_codebook(J=500, M=64, inner=4096, shared=56):
