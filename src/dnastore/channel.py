@@ -33,7 +33,9 @@ block whose scores and index entries exceed as many cells.
 The kernel returns what every caller reads; the guarantee flags and the
 failure cause come from ``_flags`` and ``_failure_cause``, which the
 estimator runs on wrong trials only (it tallies causes of wrong trials and
-nothing else) and the single-trial functions on their one trial.  The
+nothing else) and the single-trial functions on their one trial.  So the
+clean occupancy and error count, read by the flags alone, are counted for
+those trials only (about 3e-4 of the erasure headline's).  The
 codebook's separation scan, ``Codebook.max_intersection``, is read only by
 the unique_superset coverage flag and the single-trial separation flag, so
 no other run scans; the context holds no codebook.
@@ -48,6 +50,9 @@ unique_superset under every model (its decision is that cover set).  A
 trial's cover word is the AND of one uint64 word per read, bit j set when
 codeword j holds the read's molecule (every bit for an erasure); its
 popcount is the top count, and its lowest set bit the first top codeword.
+Under none and erasure, up to 64 support positions, the positions the kept
+reads hit fix that AND: one position word per trial, looked up a byte at a
+time in ``_Context.cover_table``, gives it without a gather per read.
 
 Otherwise decoder scores (per trial and codeword, the distinct observed
 molecules the codeword holds, or its reads for multiplicity_count) take one
@@ -117,13 +122,13 @@ def _on_one_blas_thread(kernel):
     wakes a sleeping BLAS thread or competes with pool workers for cores;
     the caller's count is restored after.  Unchanged if _BLAS_THREADS is None."""
     @functools.wraps(kernel)
-    def pinned(*args):
+    def pinned(*args, **kwargs):
         if _BLAS_THREADS is None:
-            return kernel(*args)
+            return kernel(*args, **kwargs)
         threads = _BLAS_THREADS[0]()
         _BLAS_THREADS[1](1)
         try:
-            return kernel(*args)
+            return kernel(*args, **kwargs)
         finally:
             _BLAS_THREADS[1](threads)
 
@@ -307,6 +312,21 @@ class _Context:
         cover[self.inner] = _MASK64 >> (64 - self.J)
         return cover
 
+    @functools.cached_property
+    def cover_table(self) -> np.ndarray:
+        """J x ceil(S/8) x 256 uint64 words (J, S <= 64; at most 1 MB): entry
+        (i, b, v) ANDs the cover_bits of codeword i's molecules at support
+        positions 8b + k, k a set bit of v (the identity at v = 0)."""
+        J, S = self.support_mask.shape
+        identity = self.cover_bits[self.inner]
+        words = np.full((J, -(-S // 8) * 8), identity)
+        cols = np.arange(self.M) if self.positions is None else self.positions
+        words[np.arange(J)[:, None], cols] = self.cover_bits[self.expanded]
+        table = np.full((J, words.shape[1] // 8, 256), identity)
+        for k in range(8):
+            table[:, :, 1 << k : 2 << k] = table[:, :, : 1 << k] & words[:, k::8, None]
+        return table
+
 
 # one context per live codebook; a context must hold no reference to its
 # codebook, or the weak key never dies and the entry is never freed
@@ -336,7 +356,8 @@ def _route(ctx, model, rule, n) -> str:
 
     "cover" decides by cover words, without scores, up to 64 codewords
     under the none and erasure models (p = 0 counts as none, as in
-    _trials) and for unique_superset under every model.  Otherwise "bits"
+    _trials; up to 64 support positions the words come from one position
+    word per trial) and for unique_superset under every model.  Otherwise "bits"
     serves the distinct-molecule rules up to 64 molecules, and "dense"
     multiplies by the J x inner support matrix in float32, exact only below
     2^24 reads, so from there on, or past _DENSE_CELLS cells, the route is
@@ -431,7 +452,7 @@ def _block_rows(ctx, model, rule, route, n) -> int:
 
 
 @_on_one_blas_thread
-def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
+def _trials(ctx, model, dec, rng, msgs, N, route, wrong_only=False) -> dict:
     """The trial kernel: N reads of each message in msgs pass through the
     error model and the decoder, with draws taken from rng in the order the
     module docstring gives; route is score_route's pick.
@@ -446,10 +467,11 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
     of "cover" takes it, so a forced score route runs its own code.
 
     Returns per-trial arrays: decoded (-1 where unique_superset finds no
-    single containing codeword), wrong, distinct, errors, tie and positions
-    (trials x N, the support position of each clean draw, which _flags
-    reads); the adversarial model adds cases (trials x N), pattern_i and
-    bad."""
+    single containing codeword), wrong, distinct (the clean occupancy) and
+    errors, of wrong trials only if wrong_only (0 on the others), tie and
+    positions (trials x N, the support position of each clean draw, which
+    _flags reads); the adversarial model adds cases (trials x N), pattern_i
+    and bad."""
     M, inner, J = ctx.M, ctx.inner, ctx.J
     B = msgs.size
     kind = "none" if model.p == 0.0 else model.kind
@@ -487,39 +509,45 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
         position_of = ctx.positions.ravel()
         positions = np.empty((B, N), dtype=position_of.dtype)
     S = ctx.support_mask.shape[1]
+    by_position = route == "cover" and kind in ("none", "erasure") and S <= 64
     parts = []
     step = _block_rows(ctx, model, dec.rule, route, N) if B > 1 else B
     for r in range(0, B, step):
         blk = slice(r, r + step)
         flat = (msgs[blk] * M)[:, None] + sample_idx[blk]
-        sampled = expanded[flat]
-        # clean occupancy over the support positions of the sent codewords
         if ctx.positions is not None:
             np.take(position_of, flat, out=positions[blk])
-        distinct = distinct_per_row(positions[blk], S)
-
-        # the models select by arithmetic on their masks, not by branching
-        if kind == "none":
-            reads = sampled
-            errors = np.zeros(sampled.shape[0], dtype=np.intp)
-        elif kind == "erasure":
-            # the sentinel molecule inner marks erasures; it exceeds every
-            # molecule, so the maximum selects it
-            erased = np.multiply(mask[blk], inner, dtype=sampled.dtype)
-            reads = np.maximum(sampled, erased)
-            errors = mask[blk].sum(axis=1)
+        if by_position:
+            # bit s of kept: a kept read hit support position s (erased reads
+            # land at 64 or more and shift out); its bytes' entries AND to cover
+            kept = positions[blk]
+            if kind == "erasure":
+                kept = kept + np.multiply(mask[blk], 64, dtype=kept.dtype)
+            kept, cover = row_bits(kept), np.uint64(_MASK64)
+            for b, entries in enumerate(np.moveaxis(ctx.cover_table, 1, 0)):
+                byte = (kept >> np.uint64(8 * b)) & np.uint64(255)
+                cover = cover & entries[msgs[blk], byte.astype(np.intp)]
         else:
-            if kind == "random":
+            # the models select by arithmetic on their masks, not by branching
+            sampled = expanded[flat]
+            if kind == "none":
+                reads = sampled
+            elif kind == "erasure":
+                # the sentinel molecule inner marks erasures; it exceeds every
+                # molecule, so the maximum selects it
+                erased = np.multiply(mask[blk], inner, dtype=sampled.dtype)
+                reads = np.maximum(sampled, erased)
+            elif kind == "random":
                 reads = sampled + (repl[blk] - sampled) * mask[blk]
             else:
                 reads = sampled + (target_a[idx_a[blk]] - sampled) * from_a[blk]
                 reads += (target_b[idx_b[blk]] - sampled) * from_b[blk]
-            errors = (reads != sampled).sum(axis=1)
+            if route == "cover":
+                cover = np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1)
 
         # the top codewords (for unique_superset those covering the observed
         # molecules), their count and the first of them
         if route == "cover":
-            cover = np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1)
             n_top = np.bitwise_count(cover)
             # the lowest set bit is the count of the bits below it
             decoded = np.bitwise_count((cover & -cover) - np.uint64(1)).astype(np.intp)
@@ -551,12 +579,24 @@ def _trials(ctx, model, dec, rng, msgs, N, route) -> dict:
                     top = at_top[tied]
                 ranks = np.cumsum(top, axis=1)
                 decoded[tied] = np.argmax(ranks > k[:, None], axis=1)
-        parts.append((decoded, distinct, errors, tie))
-    decoded, distinct, errors, tie = map(np.concatenate, zip(*parts))
+        # clean occupancy and errors of the rows the caller reads, 0 on the
+        # others; a mostly wrong block counts all rows (cheaper than copying)
+        wrong = decoded != msgs[blk]
+        few = wrong_only and 2 * np.count_nonzero(wrong) <= wrong.size
+        rows = np.flatnonzero(wrong) if few else slice(None)
+        diagnostics = distinct, errors = np.zeros((2, wrong.size), dtype=np.intp)
+        distinct[rows] = distinct_per_row(positions[blk][rows], S)
+        if kind == "erasure":
+            errors[rows] = mask[blk][rows].sum(axis=1)
+        elif kind != "none":
+            errors[rows] = (reads[rows] != sampled[rows]).sum(axis=1)
+        diagnostics[:, ~wrong & wrong_only] = 0
+        parts.append((decoded, wrong, distinct, errors, tie))
+    decoded, wrong, distinct, errors, tie = map(np.concatenate, zip(*parts))
 
     out = {
         "decoded": decoded,
-        "wrong": decoded != msgs,
+        "wrong": wrong,
         "distinct": distinct,
         "errors": errors,
         "tie": tie,
@@ -700,7 +740,7 @@ def _estimate_chunk(spec):
     ctx = _context(cb)
     rng = chunk_rng(master_seed, chunk_index)
     msgs = rng.integers(0, ctx.J, size=size)
-    t = _trials(ctx, model, dec, rng, msgs, ctx.N, route)
+    t = _trials(ctx, model, dec, rng, msgs, ctx.N, route, wrong_only=True)
     wrong = np.flatnonzero(t["wrong"])
     cause = _failure_cause(t["tie"][wrong], *_flags(ctx, cb, dec, t, msgs, wrong))
     cause_counts = np.bincount(cause, minlength=len(FAILURE_CAUSES))

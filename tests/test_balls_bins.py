@@ -382,7 +382,10 @@ class TestOccupancyKernel:
     def test_callers_bound_the_wide_scatter(self, monkeypatch):
         # distinct_per_row builds an 8-byte flat index per entry above 64
         # bins; the kernel's and the sampler's row blocks keep each call
-        # within 2^19 entries (4 MB), where one whole chunk is over 2^21
+        # within 2^19 entries (4 MB), where one whole chunk is over 2^21.
+        # The estimator counts the clean occupancy of wrong trials only, so
+        # its model makes every trial wrong: about 72 of 144 reads replaced,
+        # and unique_superset finds no codeword covering them
         calls = []
 
         def recording(values, width):
@@ -393,10 +396,11 @@ class TestOccupancyKernel:
         monkeypatch.setattr(channel, "distinct_per_row", recording)
         sc = ScalingParams(M=72, inner_size=144, N=144, J=20)
         cb = greedy_index_codebook(sc, 71, 20, seed=1, attempt_budget=100)
-        dec = channel.DecoderConfig("distinct_intersection")
-        channel.estimate_error_probability(
-            cb, channel.SequencingErrorModel.none(), dec, 20_000, 3
+        dec = channel.DecoderConfig("unique_superset")
+        report = channel.estimate_error_probability(
+            cb, channel.SequencingErrorModel.random(0.5), dec, 20_000, 3
         )
+        assert report.errors == 20_000
         kernel, calls[:] = calls[:], []
         sample_distinct_count(100, 150, trials=(1 << 14) + 5, seed=3)
         for made in (kernel, calls):

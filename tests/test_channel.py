@@ -47,7 +47,7 @@ def cap_codebook(M=16, inner=256, N=48, cap=3, J=32, seed=9):
     return greedy_index_codebook(sc, cap, target_J=J, seed=seed, attempt_budget=50_000)
 
 
-def array_index_codebook(molecules, inner, N):
+def array_index_codebook(molecules, inner, N, validate_distinct=True):
     """An index codebook built straight from its J x M molecule array, whose
     column g holds molecules of group g (inner // M molecules each)."""
     J, M = molecules.shape
@@ -55,6 +55,7 @@ def array_index_codebook(molecules, inner, N):
         ScalingParams(M=M, inner_size=inner, N=N, J=J),
         index_based=True,
         group_size=inner // M,
+        validate_distinct=validate_distinct,
         molecules=molecules,
         mults=np.ones((J, M), dtype=np.int64),
         sizes=np.full(J, M),
@@ -590,6 +591,56 @@ def cover_runs(ctx, model, dec, seed, B, routes):
     return [blocked_runs(ctx, model, dec, seed, B, ctx.N, r, [B])[0] for r in routes]
 
 
+@st.composite
+def wide_support_codebooks(draw):
+    """Codebooks of 1-64 codewords with up to 64 support positions: index
+    codebooks (M = S), or multiset codebooks of M > S molecules whose
+    supports hold 1 to S distinct ones, so the context has positions.
+    Codewords may repeat, so the decision ties."""
+    J = draw(st.one_of(st.just(64), st.integers(1, 64)))
+    S = draw(st.one_of(st.just(64), st.integers(1, 64)))
+    N = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if S >= 2 and draw(st.booleans()):
+        molecules = rng.integers(0, 2, size=(J, S)) + np.arange(S) * 2
+        return array_index_codebook(molecules, 2 * S, N, validate_distinct=False)
+    M = S + draw(st.integers(1, 16))
+    inner = M + 1 + int(rng.integers(0, M))
+    sizes = rng.integers(1, S + 1, size=J)
+    sizes[rng.integers(0, J)] = S
+    molecules = np.zeros((J, S), dtype=np.int64)
+    mults = np.zeros((J, S), dtype=np.int64)
+    for i, size in enumerate(sizes):
+        molecules[i, :size] = np.sort(rng.choice(inner, size, replace=False))
+        mults[i, :size] = 1 + np.bincount(rng.integers(0, size, M - size), minlength=size)
+    return Codebook(
+        ScalingParams(M=M, inner_size=inner, N=N, J=J),
+        validate_distinct=False,
+        molecules=molecules,
+        mults=mults,
+        sizes=sizes,
+    )
+
+
+def assert_position_cover(ctx, B, p, seed, table):
+    """The cover route under none and erasure(p) against every valid forced
+    score route, with every-row and wrong-row diagnostics; table says
+    whether it looks its words up by position words (cover_table) or by
+    read words."""
+    for model in (SequencingErrorModel.none(), SequencingErrorModel.erasure(p)):
+        for rule in channel.DECODER_RULES:
+            assert channel._route(ctx, model, rule, ctx.N) == "cover"
+            dec = DecoderConfig(rule, epsilon=0.13)
+            routes = ("cover",) + routes_for(rule, ctx.inner)
+            assert_same_runs(cover_runs(ctx, model, dec, seed, B, routes), (model, rule))
+            wrong_rows = [
+                blocked_runs(ctx, model, dec, seed, B, ctx.N, r, [B], wrong_only=True)[0]
+                for r in routes
+            ]
+            assert_same_runs(wrong_rows, (model, rule, "wrong rows"))
+    assert ("cover_table" in ctx.__dict__) == table
+
+
 class TestCoverRoute:
     """The cover route decides as every score route does, draws included,
     wherever score_route picks it."""
@@ -683,6 +734,141 @@ class TestCoverRoute:
             ):
                 assert channel.score_route(at, zero, rule) == "cover"
                 assert channel.score_route(past, zero, rule) != "cover"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cb=wide_support_codebooks(),
+        B=st.integers(1, 12),
+        p=st.one_of(st.just(0.95), st.floats(0.0, 0.95)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_position_words_match_score_routes(self, cb, B, p, seed):
+        # up to 64 support positions the none and erasure models look the
+        # cover word up by the trial's position word
+        ctx = channel._Context(cb)
+        assert ctx.support_mask.shape[1] <= 64
+        assert_position_cover(ctx, B, p, seed, table=True)
+
+    def test_sixty_five_positions_take_read_words(self):
+        rng = np.random.default_rng(65)
+        molecules = rng.integers(0, 2, size=(24, 65)) + np.arange(65) * 2
+        ctx = channel._Context(array_index_codebook(molecules, 130, 40))
+        for B, p, seed in ((1, 0.0, 1), (12, 0.5, 2), (300, 0.95, 3)):
+            assert_position_cover(ctx, B, p, seed, table=False)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cb=wide_support_codebooks())
+    def test_cover_table_entries(self, cb):
+        # entry (i, b, v): the AND of the words of codeword i's molecules at
+        # the support positions 8b + k of v's set bits, spelt bit by bit
+        ctx = channel._Context(cb)
+        J, S = cb.support_mask.shape
+        identity = (1 << J) - 1
+        words = [[identity] * (-(-S // 8) * 8) for _ in range(J)]
+        for i, s in zip(*np.nonzero(cb.support_mask)):
+            words[i][s] = int(ctx.cover_bits[cb.molecules[i, s]])
+        table = ctx.cover_table
+        assert table.dtype == np.uint64
+        assert table.shape == (J, -(-S // 8), 256)
+        for i in range(J):
+            for b in range(table.shape[1]):
+                expect = []
+                for v in range(256):
+                    word = identity
+                    for k in range(8):
+                        if v >> k & 1:
+                            word &= words[i][8 * b + k]
+                    expect.append(word)
+                assert table[i, b].tolist() == expect, (i, b)
+
+
+class TestWrongRowDiagnostics:
+    """The estimator has the kernel count the clean occupancy and errors of
+    its wrong trials only, the single-trial functions of their one trial;
+    every report and outcome is what every-row diagnostics give."""
+
+    @pytest.mark.parametrize(
+        "model,rule,wrong",
+        [
+            (SequencingErrorModel.none(), "distinct_intersection", "none"),
+            (SequencingErrorModel.erasure(0.9), "distinct_intersection", "some"),
+            (SequencingErrorModel.random(0.3), "multiplicity_count", "some"),
+            (SequencingErrorModel.adversarial(0.6, (0, 1)), "distinct_intersection", "some"),
+            (SequencingErrorModel.adversarial(0.5, (0, 1)), "unique_superset", "some"),
+            (SequencingErrorModel.random(0.5), "unique_superset", "all"),
+        ],
+    )
+    def test_reports_match_every_row_diagnostics(self, model, rule, wrong, monkeypatch):
+        # two chunks each: a disjoint pair never errs; 4 reads of 8 capped
+        # codewords give every cause; 48 reads, half of them replaced, are
+        # never covered by one codeword
+        cb = {
+            "none": disjoint_pair_cb(N=6),
+            "some": cap_codebook(N=4, J=8),
+            "all": cap_codebook(),
+        }[wrong]
+        dec = DecoderConfig(rule, epsilon=0.13)
+        trials = 20_000
+        report = estimate_error_probability(cb, model, dec, trials, 8).comparable_dict()
+        errors = report["errors"]
+        assert errors == {"none": 0, "all": trials}.get(wrong, errors)
+        assert 0 < errors < trials or wrong != "some"
+        if model.kind == "adversarial":
+            assert report["attack_stats"]["bad_events"] > 0
+        kernel = channel._trials
+        seen = []
+
+        def every_row(*args, wrong_only):
+            seen.append(wrong_only)
+            return kernel(*args)
+
+        monkeypatch.setattr(channel, "_trials", every_row)
+        assert estimate_error_probability(cb, model, dec, trials, 8).comparable_dict() == report
+        assert seen == [True, True]
+
+    def test_kernel_leaves_right_rows_empty(self):
+        cb = cap_codebook()
+        ctx = channel._Context(cb)
+        for model in route_models(ctx.J):
+            for rule in channel.DECODER_RULES:
+                dec = DecoderConfig(rule, epsilon=0.13)
+                route = channel._route(ctx, model, rule, ctx.N)
+                (every, after), (wrong, later) = (
+                    blocked_runs(ctx, model, dec, 3, 3_000, ctx.N, route, [700], rows)[0]
+                    for rows in (False, True)
+                )
+                assert after == later
+                right = ~every["wrong"]
+                for key, column in every.items():
+                    if key in ("distinct", "errors"):
+                        assert (wrong[key][right] == 0).all(), (model, rule, key)
+                        column = np.where(right, 0, column)
+                    assert np.array_equal(wrong[key], column), (model, rule, key)
+
+    def test_run_trial_fills_successful_trials(self):
+        # the counts recomputed from the draws, in the kernel's order
+        cb = disjoint_pair_cb(N=6)
+        ctx = channel._context(cb)
+        for model in (
+            SequencingErrorModel.none(),
+            SequencingErrorModel.erasure(0.5),
+            SequencingErrorModel.random(0.3),
+        ):
+            for rule in channel.DECODER_RULES:
+                successes = 0
+                for seed in range(60):
+                    out = run_trial(cb, seed % 2, model, DecoderConfig(rule), seed)
+                    rng = np.random.Generator(np.random.Philox(key=seed))
+                    idx = rng.integers(0, 8, size=6, dtype=np.int32)
+                    mask = rng.random(6) < model.p
+                    sampled = ctx.expanded[seed % 2][idx]
+                    if model.kind == "random":
+                        replaced = rng.integers(0, 16, size=6, dtype=np.int32)
+                        mask &= replaced != sampled
+                    assert out.distinct_sampled == len(set(idx.tolist()))
+                    assert out.sequencing_errors == mask.sum()
+                    successes += out.success
+                assert successes > 10, (model, rule)
 
 
 def shared_molecule_codebook(J=500, M=64, inner=4096, shared=56):
@@ -892,7 +1078,7 @@ class TestTieBreak:
         assert np.abs(freq - 1 / k).max() <= 4 * sigma, freq
 
 
-def blocked_runs(ctx, model, dec, seed, B, N, route, block_rows):
+def blocked_runs(ctx, model, dec, seed, B, N, route, block_rows, wrong_only=False):
     """(kernel output, next draw of its generator) for each forced count of
     trials per row block."""
     runs = []
@@ -900,7 +1086,7 @@ def blocked_runs(ctx, model, dec, seed, B, N, route, block_rows):
         rng = np.random.default_rng(seed)
         msgs = rng.integers(0, ctx.J, size=B)
         with mock.patch.object(channel, "_block_rows", lambda *args: rows):
-            out = channel._trials(ctx, model, dec, rng, msgs, N, route)
+            out = channel._trials(ctx, model, dec, rng, msgs, N, route, wrong_only)
         runs.append((out, rng.integers(0, 1 << 62)))
     return runs
 
@@ -988,11 +1174,11 @@ class TestRowBlocks:
                     runs = blocked_runs(ctx, model, dec, seed, B, N, route, block_rows)
                     assert_same_runs(runs, (model, rule, route))
 
-    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("route", ROUTES + ("cover",))
     def test_tied_rows_across_blocks(self, route):
         # a repetition (multiset) codebook and an index codebook under every
         # model, where some rows tie; blocks of 5 rows leave a remainder of
-        # the 64 trials
+        # the 64 trials.  The cover route runs where score_route picks it
         cbs = [
             codebook.repetition_codebook(
                 ScalingParams(M=16, inner_size=60, N=24, J=8), 0.6, 8, seed=3
@@ -1004,7 +1190,8 @@ class TestRowBlocks:
             ctx = channel._Context(cb)
             for model in route_models(ctx.J):
                 for rule in channel.DECODER_RULES:
-                    if route not in routes_for(rule, ctx.inner):
+                    picked = channel._route(ctx, model, rule, ctx.N)
+                    if route not in routes_for(rule, ctx.inner) and route != picked:
                         continue
                     dec = DecoderConfig(rule, epsilon=0.13)
                     runs = blocked_runs(ctx, model, dec, 5, 64, ctx.N, route, [64, 1, 5])
