@@ -50,9 +50,9 @@ unique_superset under every model (its decision is that cover set).  A
 trial's cover word is the AND of one uint64 word per read, bit j set when
 codeword j holds the read's molecule (every bit for an erasure); its
 popcount is the top count, and its lowest set bit the first top codeword.
-Under none and erasure, up to 64 support positions, the positions the kept
-reads hit fix that AND: one position word per trial, looked up a byte at a
-time in ``_Context.cover_table``, gives it without a gather per read.
+Under none and erasure every read is a draw from the sent codeword, so a
+trial gathers its reads' words straight from ``_Context.cover_words``
+through the flat index of each draw, an erased read ORed to the identity.
 
 Otherwise decoder scores (per trial and codeword, the distinct observed
 molecules the codeword holds, or its reads for multiplicity_count) take one
@@ -313,19 +313,9 @@ class _Context:
         return cover
 
     @functools.cached_property
-    def cover_table(self) -> np.ndarray:
-        """J x ceil(S/8) x 256 uint64 words (J, S <= 64; at most 1 MB): entry
-        (i, b, v) ANDs the cover_bits of codeword i's molecules at support
-        positions 8b + k, k a set bit of v (the identity at v = 0)."""
-        J, S = self.support_mask.shape
-        identity = self.cover_bits[self.inner]
-        words = np.full((J, -(-S // 8) * 8), identity)
-        cols = np.arange(self.M) if self.positions is None else self.positions
-        words[np.arange(J)[:, None], cols] = self.cover_bits[self.expanded]
-        table = np.full((J, words.shape[1] // 8, 256), identity)
-        for k in range(8):
-            table[:, :, 1 << k : 2 << k] = table[:, :, : 1 << k] & words[:, k::8, None]
-        return table
+    def cover_words(self) -> np.ndarray:
+        """J x M uint64 cover_bits of each codeword's molecules (J <= 64)."""
+        return self.cover_bits[self.expanded]
 
 
 # one context per live codebook; a context must hold no reference to its
@@ -356,8 +346,7 @@ def _route(ctx, model, rule, n) -> str:
 
     "cover" decides by cover words, without scores, up to 64 codewords
     under the none and erasure models (p = 0 counts as none, as in
-    _trials; up to 64 support positions the words come from one position
-    word per trial) and for unique_superset under every model.  Otherwise "bits"
+    _trials) and for unique_superset under every model.  Otherwise "bits"
     serves the distinct-molecule rules up to 64 molecules, and "dense"
     multiplies by the J x inner support matrix in float32, exact only below
     2^24 reads, so from there on, or past _DENSE_CELLS cells, the route is
@@ -509,7 +498,7 @@ def _trials(ctx, model, dec, rng, msgs, N, route, wrong_only=False) -> dict:
         position_of = ctx.positions.ravel()
         positions = np.empty((B, N), dtype=position_of.dtype)
     S = ctx.support_mask.shape[1]
-    by_position = route == "cover" and kind in ("none", "erasure") and S <= 64
+    by_draw = route == "cover" and kind in ("none", "erasure")
     parts = []
     step = _block_rows(ctx, model, dec.rule, route, N) if B > 1 else B
     for r in range(0, B, step):
@@ -517,16 +506,12 @@ def _trials(ctx, model, dec, rng, msgs, N, route, wrong_only=False) -> dict:
         flat = (msgs[blk] * M)[:, None] + sample_idx[blk]
         if ctx.positions is not None:
             np.take(position_of, flat, out=positions[blk])
-        if by_position:
-            # bit s of kept: a kept read hit support position s (erased reads
-            # land at 64 or more and shift out); its bytes' entries AND to cover
-            kept = positions[blk]
+        if by_draw:
+            # each draw's cover word; an erased read's is the identity
+            words = ctx.cover_words.ravel()[flat]
             if kind == "erasure":
-                kept = kept + np.multiply(mask[blk], 64, dtype=kept.dtype)
-            kept, cover = row_bits(kept), np.uint64(_MASK64)
-            for b, entries in enumerate(np.moveaxis(ctx.cover_table, 1, 0)):
-                byte = (kept >> np.uint64(8 * b)) & np.uint64(255)
-                cover = cover & entries[msgs[blk], byte.astype(np.intp)]
+                words |= np.multiply(mask[blk], ctx.cover_bits[inner], dtype=np.uint64)
+            cover = np.bitwise_and.reduce(words, axis=1)
         else:
             # the models select by arithmetic on their masks, not by branching
             sampled = expanded[flat]
@@ -580,17 +565,15 @@ def _trials(ctx, model, dec, rng, msgs, N, route, wrong_only=False) -> dict:
                 ranks = np.cumsum(top, axis=1)
                 decoded[tied] = np.argmax(ranks > k[:, None], axis=1)
         # clean occupancy and errors of the rows the caller reads, 0 on the
-        # others; a mostly wrong block counts all rows (cheaper than copying)
+        # others
         wrong = decoded != msgs[blk]
-        few = wrong_only and 2 * np.count_nonzero(wrong) <= wrong.size
-        rows = np.flatnonzero(wrong) if few else slice(None)
-        diagnostics = distinct, errors = np.zeros((2, wrong.size), dtype=np.intp)
+        rows = np.flatnonzero(wrong) if wrong_only else slice(None)
+        distinct, errors = np.zeros((2, wrong.size), dtype=np.intp)
         distinct[rows] = distinct_per_row(positions[blk][rows], S)
         if kind == "erasure":
             errors[rows] = mask[blk][rows].sum(axis=1)
         elif kind != "none":
             errors[rows] = (reads[rows] != sampled[rows]).sum(axis=1)
-        diagnostics[:, ~wrong & wrong_only] = 0
         parts.append((decoded, wrong, distinct, errors, tie))
     decoded, wrong, distinct, errors, tie = map(np.concatenate, zip(*parts))
 

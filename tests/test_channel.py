@@ -579,6 +579,9 @@ class TestScoreRoutes:
             held = [sum(1 << j for j, cw in enumerate(cws) if m in cw.support)
                     for m in range(ctx.inner)]
             assert ctx.cover_bits.tolist() == held + [(1 << ctx.J) - 1]
+            words = [[held[m] for m in row] for row in ctx.expanded.tolist()]
+            assert ctx.cover_words.dtype == np.uint64
+            assert ctx.cover_words.tolist() == words
         assert ctx.inv_ptr.shape == (ctx.inner + 2,)
         assert ctx.nnz == sizes.sum() == ctx.inv_ptr[-1]
         for m in range(ctx.inner + 1):
@@ -593,7 +596,7 @@ def cover_runs(ctx, model, dec, seed, B, routes):
 
 @st.composite
 def wide_support_codebooks(draw):
-    """Codebooks of 1-64 codewords with up to 64 support positions: index
+    """Codebooks of 1-64 codewords with 1 to 64 support positions: index
     codebooks (M = S), or multiset codebooks of M > S molecules whose
     supports hold 1 to S distinct ones, so the context has positions.
     Codewords may repeat, so the decision ties."""
@@ -622,11 +625,10 @@ def wide_support_codebooks(draw):
     )
 
 
-def assert_position_cover(ctx, B, p, seed, table):
-    """The cover route under none and erasure(p) against every valid forced
-    score route, with every-row and wrong-row diagnostics; table says
-    whether it looks its words up by position words (cover_table) or by
-    read words."""
+def assert_draw_cover(ctx, B, p, seed):
+    """The cover route under none and erasure(p), which gathers its words
+    from cover_words, against every valid forced score route, with every-row
+    and wrong-row diagnostics."""
     for model in (SequencingErrorModel.none(), SequencingErrorModel.erasure(p)):
         for rule in channel.DECODER_RULES:
             assert channel._route(ctx, model, rule, ctx.N) == "cover"
@@ -638,7 +640,7 @@ def assert_position_cover(ctx, B, p, seed, table):
                 for r in routes
             ]
             assert_same_runs(wrong_rows, (model, rule, "wrong rows"))
-    assert ("cover_table" in ctx.__dict__) == table
+    assert "cover_words" in ctx.__dict__
 
 
 class TestCoverRoute:
@@ -742,44 +744,18 @@ class TestCoverRoute:
         p=st.one_of(st.just(0.95), st.floats(0.0, 0.95)),
         seed=st.integers(0, 2**32),
     )
-    def test_position_words_match_score_routes(self, cb, B, p, seed):
-        # up to 64 support positions the none and erasure models look the
-        # cover word up by the trial's position word
-        ctx = channel._Context(cb)
-        assert ctx.support_mask.shape[1] <= 64
-        assert_position_cover(ctx, B, p, seed, table=True)
+    def test_draw_words_match_score_routes(self, cb, B, p, seed):
+        # the none and erasure models gather each draw's word from
+        # cover_words, with index and multiset codebooks
+        assert_draw_cover(channel._Context(cb), B, p, seed)
 
-    def test_sixty_five_positions_take_read_words(self):
+    def test_sixty_five_positions_match_score_routes(self):
+        # more support positions than bits in a word change nothing
         rng = np.random.default_rng(65)
         molecules = rng.integers(0, 2, size=(24, 65)) + np.arange(65) * 2
         ctx = channel._Context(array_index_codebook(molecules, 130, 40))
         for B, p, seed in ((1, 0.0, 1), (12, 0.5, 2), (300, 0.95, 3)):
-            assert_position_cover(ctx, B, p, seed, table=False)
-
-    @settings(max_examples=30, deadline=None)
-    @given(cb=wide_support_codebooks())
-    def test_cover_table_entries(self, cb):
-        # entry (i, b, v): the AND of the words of codeword i's molecules at
-        # the support positions 8b + k of v's set bits, spelt bit by bit
-        ctx = channel._Context(cb)
-        J, S = cb.support_mask.shape
-        identity = (1 << J) - 1
-        words = [[identity] * (-(-S // 8) * 8) for _ in range(J)]
-        for i, s in zip(*np.nonzero(cb.support_mask)):
-            words[i][s] = int(ctx.cover_bits[cb.molecules[i, s]])
-        table = ctx.cover_table
-        assert table.dtype == np.uint64
-        assert table.shape == (J, -(-S // 8), 256)
-        for i in range(J):
-            for b in range(table.shape[1]):
-                expect = []
-                for v in range(256):
-                    word = identity
-                    for k in range(8):
-                        if v >> k & 1:
-                            word &= words[i][8 * b + k]
-                    expect.append(word)
-                assert table[i, b].tolist() == expect, (i, b)
+            assert_draw_cover(ctx, B, p, seed)
 
 
 class TestWrongRowDiagnostics:
