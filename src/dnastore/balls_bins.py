@@ -45,7 +45,7 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 def map_chunks(fn, head: tuple, trials: int, chunk: int, workers: int) -> list:
     """fn(head + (index, size)) for each chunk of trials, in chunk order:
     chunks of chunk trials, only the last one short, run on a pool of
-    workers processes when there are several workers and chunks."""
+    min(workers, chunks) processes when there are several of each."""
     if trials < 1 or workers < 1:
         raise DomainError(f"trials ({trials}) and workers ({workers}) must be positive")
     specs = [
@@ -58,7 +58,7 @@ def map_chunks(fn, head: tuple, trials: int, chunk: int, workers: int) -> list:
         # when the batches do not divide evenly among the workers
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
             return list(pool.map(fn, specs))
     return [fn(spec) for spec in specs]
 
@@ -75,6 +75,8 @@ def _log_comb(n: int, k: int) -> float:
 
 
 def _half_up(x: float) -> int:
+    if not math.isfinite(x + 0.5):
+        raise DomainError(f"cannot round {x} to an integer")
     return math.floor(x + 0.5)
 
 
@@ -224,13 +226,6 @@ class DistinctCountSample:
     std_err: np.ndarray
 
 
-def row_bits(values: np.ndarray) -> np.ndarray:
-    """One uint64 word per row of values (B x N): the OR of bit v for each
-    entry v.  Entries of 64 or more set no bit (numpy shifts them out)."""
-    bits = np.left_shift(np.uint64(1), values, dtype=np.uint64, casting="unsafe")
-    return np.bitwise_or.reduce(bits, axis=1)
-
-
 def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
     """Number of distinct entries in each row of values (B x N integers of
     any width and either memory order, every entry in [0, width)): the
@@ -245,7 +240,8 @@ def distinct_per_row(values: np.ndarray, width: int) -> np.ndarray:
     _BLOCK_CELLS / N rows and the sampler at most 8 _BLOCK_CELLS / (16 N + M)
     rows, or one row where a single trial is larger."""
     if width <= 64:
-        return np.bitwise_count(row_bits(values)).astype(np.intp)
+        bits = np.left_shift(np.uint64(1), values, dtype=np.uint64, casting="unsafe")
+        return np.bitwise_count(np.bitwise_or.reduce(bits, axis=1)).astype(np.intp)
     B = values.shape[0]
     flat = values + (np.arange(B, dtype=np.int64) * width)[:, None]
     seen = np.zeros(B * width, dtype=bool)

@@ -40,7 +40,7 @@ codebook's separation scan, ``Codebook.max_intersection``, is read only by
 the unique_superset coverage flag and the single-trial separation flag, so
 no other run scans; the context holds no codebook.
 
-The decision takes one of four routes, which ``score_route`` picks from the
+The decision takes one of three routes, which ``score_route`` picks from the
 shape, the model and the rule alone.  Up to 64 codewords, the cover route
 decides without scores where the top codewords are those whose support
 covers the observed molecules: under the none and erasure models (every
@@ -56,17 +56,15 @@ through the flat index of each draw, an erased read ORed to the identity.
 
 Otherwise decoder scores (per trial and codeword, the distinct observed
 molecules the codeword holds, or its reads for multiplicity_count) take one
-of three routes.  Up to 64 molecules, the distinct-molecule rules take the
-bits route: a score is the popcount of the trial's observed word ANDed with
-the codeword's support word (one uint64 bit per molecule).  Otherwise the
-dense route multiplies the B x inner observed occupancy by the J x inner
-support matrix in float32, one product per row block, and the sparse route,
-taken when a trial's reads and index entries are far fewer than the
-product's cells, looks each observed molecule up in an inverted index from
-molecule to codewords and adds the hits with one bincount.  All three are
-exact: scores are integers no larger than N, and float32 holds every
-integer below 2^24 (from 2^24 reads on, score_route never picks the dense
-route).  The route changes no output and no draw, only time and memory.
+of two routes.  The dense route multiplies the B x inner observed occupancy
+by the J x inner support matrix in float32, one product per row block, and
+the sparse route, taken when a trial's reads and index entries are far
+fewer than the product's cells, looks each observed molecule up in an
+inverted index from molecule to codewords and adds the hits with one
+bincount.  Both are exact: scores are integers no larger than N, and
+float32 holds every integer below 2^24 (from 2^24 reads on, score_route
+never picks the dense route).  The route changes no output and no draw,
+only time and memory.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .balls_bins import _BLOCK_CELLS, _MASK64, DEFAULT_CELL_CAP, LOG_ZERO, _log_comb
-from .balls_bins import chunk_rng, distinct_per_row, map_chunks, row_bits
+from .balls_bins import chunk_rng, distinct_per_row, map_chunks
 from .codebook import Codebook
 from .errors import CapacityError, DomainError
 from .params import ScalingParams
@@ -200,8 +198,8 @@ class DecoderConfig:
     def __post_init__(self):
         if self.rule not in DECODER_RULES:
             raise DomainError(f"unknown decoder rule {self.rule!r}")
-        if self.epsilon < 0:
-            raise DomainError("epsilon must be non-negative")
+        if not 0 <= self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be finite and non-negative: {self.epsilon}")
         if not 0.0 < self.eta < 1.0:
             raise DomainError("eta must lie in (0, 1)")
 
@@ -278,8 +276,6 @@ class _Context:
         self.positions = None
         if (cb.sizes < self.M).any():
             self.positions = np.repeat(col, mults).reshape(self.J, self.M).astype(ids)
-        # J uint64 support words of the bits route
-        self.support_bits = row_bits(self.expanded) if self.inner <= 64 else None
         # inverted index (CSR): the codewords holding molecule m, ascending,
         # are inv_idx[inv_ptr[m]:inv_ptr[m + 1]]; the erasure sentinel
         # m = inner holds none
@@ -335,8 +331,8 @@ def score_route(
     cb: Codebook, model: SequencingErrorModel, rule: str, n_reads: int | None = None
 ) -> str:
     """Route of the decision for cb under model and the decoder rule, with
-    n_reads reads per trial (default N): "cover", "bits", "dense" or
-    "sparse", as _route gives; it depends on no draw."""
+    n_reads reads per trial (default N): "cover", "dense" or "sparse", as
+    _route gives; it depends on no draw."""
     ctx = _context(cb)
     return _route(ctx, model, rule, ctx.N if n_reads is None else n_reads)
 
@@ -346,16 +342,13 @@ def _route(ctx, model, rule, n) -> str:
 
     "cover" decides by cover words, without scores, up to 64 codewords
     under the none and erasure models (p = 0 counts as none, as in
-    _trials) and for unique_superset under every model.  Otherwise "bits"
-    serves the distinct-molecule rules up to 64 molecules, and "dense"
+    _trials) and for unique_superset under every model.  Otherwise "dense"
     multiplies by the J x inner support matrix in float32, exact only below
     2^24 reads, so from there on, or past _DENSE_CELLS cells, the route is
     "sparse"; so is it when inner * J > _SPARSE_RATIO * _sparse_cells."""
     kind = "none" if model.p == 0.0 else model.kind
     if ctx.J <= 64 and (kind in ("none", "erasure") or rule == "unique_superset"):
         return "cover"
-    if ctx.inner <= 64 and rule != "multiplicity_count":
-        return "bits"
     if n >= 1 << 24 or ctx.J * ctx.inner > _DENSE_CELLS:
         return "sparse"
     cells = _sparse_cells(ctx, model, rule, n)
@@ -371,12 +364,6 @@ def _scores(ctx, rule, reads, route):
     out its index entries, when they and the scores exceed DEFAULT_CELL_CAP."""
     inner, J = ctx.inner, ctx.J
     B = reads.shape[0]
-    if route == "bits":
-        # one bit per observed molecule; the mask drops the sentinel's bit
-        # (at inner = 64 the sentinel is shifted out of the word already)
-        observed = row_bits(reads) & np.uint64(_MASK64 >> (64 - inner))
-        sizes = np.bitwise_count(observed) if rule == "unique_superset" else None
-        return np.bitwise_count(observed[:, None] & ctx.support_bits), sizes
     if route == "dense":
         flat = reads + (np.arange(B) * (inner + 1))[:, None]
         if rule == "multiplicity_count":

@@ -82,6 +82,11 @@ def expected_distinct_fraction(x: float, c: float) -> float:
     return x * -math.expm1(-c / x)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite: {tol}")
+
+
 def solve_r(params: ExponentParams, tol: float = DEFAULT_ROOT_TOL) -> float:
     """Unique r in (delta, 1] with r * (1 - exp(-c/r)) = delta.
 
@@ -89,8 +94,7 @@ def solve_r(params: ExponentParams, tol: float = DEFAULT_ROOT_TOL) -> float:
     returned point satisfies |psi(r) - delta| <= tol.  Requires
     1 - exp(-c) >= delta, otherwise no root exists.
     """
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     c, delta = params.c, params.delta
     top = -math.expm1(-c)  # value of psi at x = 1
     if top < delta:
@@ -121,6 +125,7 @@ def exponent_multinomial(
 ) -> ExponentResult:
     """Exact exponent of P(#distinct <= delta*M) under multinomial sampling
     at coverage c, i.e. the limit of -(1/M) log p(cM, M, delta*M)."""
+    _check_tol(tol)
     c, delta = params.c, params.delta
     if -math.expm1(-c) < delta:
         return ExponentResult("zero_exponent", 0.0, None)

@@ -249,6 +249,34 @@ class TestChunks:
         assert set(sizes[:-1]) <= {chunk} and 1 <= sizes[-1] <= chunk
         assert map_chunks(echo, ("head", 7), trials, chunk, 2) == got
 
+    def test_pool_is_no_wider_than_the_chunks(self, monkeypatch):
+        # a stand-in pool that records its width and maps in this process
+        widths = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, specs):
+                return map(fn, specs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        assert map_chunks(echo, (), 20, 10, 64) == map_chunks(echo, (), 20, 10, 1)
+        assert map_chunks(echo, (), 50, 10, 3) == map_chunks(echo, (), 50, 10, 1)
+        assert widths == [2, 3]
+
+    def test_half_up_names_what_it_cannot_round(self):
+        assert balls_bins._half_up(2.5) == 3
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match=str(x)):
+                balls_bins._half_up(x)
+
     def test_import_loads_no_pool(self):
         # the pool's module (and multiprocessing) loads when a pool starts
         code = (

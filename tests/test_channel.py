@@ -91,8 +91,9 @@ class TestModelValidation:
     def test_decoder_validation(self):
         with pytest.raises(DomainError):
             DecoderConfig("nope")
-        with pytest.raises(DomainError):
-            DecoderConfig("distinct_intersection", epsilon=-1.0)
+        for epsilon in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="epsilon"):
+                DecoderConfig("distinct_intersection", epsilon=epsilon)
         with pytest.raises(DomainError):
             DecoderConfig("distinct_intersection", eta=1.0)
 
@@ -307,16 +308,8 @@ class TestEstimator:
         assert ctx_ref() is None
 
 
-ROUTES = ("dense", "sparse", "bits")
-SCORE_DTYPES = {"dense": np.float32, "sparse": np.int64, "bits": np.uint8}
-
-
-def routes_for(rule, inner):
-    """The score routes that serve rule at this inner size: the bits route
-    serves the distinct-molecule rules up to 64 molecules."""
-    if rule != "multiplicity_count" and inner <= 64:
-        return ROUTES
-    return ROUTES[:2]
+ROUTES = ("dense", "sparse")
+SCORE_DTYPES = {"dense": np.float32, "sparse": np.int64}
 
 
 def route_models(J):
@@ -368,8 +361,8 @@ def small_codebooks(draw, sizes=st.integers(1, 6)):
 
 
 class TestScoreRoutes:
-    """The sparse (inverted index), dense (float32 GEMM) and bits (uint64
-    popcount) score routes against each other and against plain loops."""
+    """The sparse (inverted index) and dense (float32 GEMM) score routes
+    against each other and against plain loops."""
 
     @settings(max_examples=100, deadline=None)
     @given(cb=small_codebooks(), B=st.integers(1, 10), data=st.data())
@@ -396,7 +389,7 @@ class TestScoreRoutes:
                 ]
             else:
                 expect = [[len(obs & sup) for sup in supports] for obs in observed]
-            for route in routes_for(rule, ctx.inner):
+            for route in ROUTES:
                 scores, sizes = channel._scores(ctx, rule, reads, route)
                 assert scores.dtype == SCORE_DTYPES[route]
                 assert scores.tolist() == expect, (rule, route)
@@ -414,7 +407,7 @@ class TestScoreRoutes:
             for rule in channel.DECODER_RULES:
                 dec = DecoderConfig(rule, epsilon=0.13)
                 runs = []
-                for route in routes_for(rule, ctx.inner):
+                for route in ROUTES:
                     rng = np.random.default_rng(seed)
                     msgs = rng.integers(0, ctx.J, size=B)
                     out = channel._trials(ctx, model, dec, rng, msgs, N, route)
@@ -482,14 +475,7 @@ class TestScoreRoutes:
             for seed in range(5)
         ]
         expect = [run_trial(cb, seed % len(cb), m, d, seed) for cb, m, d, seed in cases]
-        shape_route = channel._route
-
-        def forced(ctx, model, rule, n):
-            if route in routes_for(rule, ctx.inner):
-                return route
-            return shape_route(ctx, model, rule, n)
-
-        monkeypatch.setattr(channel, "_route", forced)
+        monkeypatch.setattr(channel, "_route", lambda *args: route)
         got = [run_trial(cb, seed % len(cb), m, d, seed) for cb, m, d, seed in cases]
         assert got == expect
 
@@ -501,19 +487,19 @@ class TestScoreRoutes:
         random = SequencingErrorModel.random(0.5)
         for rule in channel.DECODER_RULES:
             assert channel.score_route(wide, random, rule) == "sparse"
-        # the criterion-11 shape: 64 molecules fit one word; the models that
-        # replace reads keep the score routes for the rules that score
+        # the criterion-11 shape: the models that replace reads take the
+        # dense route for the rules that score
         narrow = greedy_index_codebook(
             ScalingParams(M=16, inner_size=64, N=32, J=64), 12, 64, 20, 100_000
         )
         for model in (random, SequencingErrorModel.adversarial(0.4, (0, 63))):
-            assert channel.score_route(narrow, model, DIST.rule) == "bits"
+            assert channel.score_route(narrow, model, DIST.rule) == "dense"
             assert channel.score_route(narrow, model, "multiplicity_count") == "dense"
         # float32 stops holding every integer score from 2^24 reads on
         mult = "multiplicity_count"
         assert channel.score_route(narrow, random, mult, n_reads=(1 << 24) - 1) == "dense"
         assert channel.score_route(narrow, random, mult, n_reads=1 << 24) == "sparse"
-        assert channel.score_route(narrow, random, DIST.rule, n_reads=1 << 24) == "bits"
+        assert channel.score_route(narrow, random, DIST.rule, n_reads=1 << 24) == "sparse"
         # a mid-width codebook, 200 codewords of 128 molecules out of 1,024:
         # a trial looks up so many index entries that the product is cheaper
         mid = random_index_codebook(M=128, inner=1024, J=200, N=256)
@@ -529,10 +515,11 @@ class TestScoreRoutes:
         assert channel.score_route(found, none, DIST.rule) == "sparse"
         assert channel.score_route(found, none, MULT.rule) == "dense"
 
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("inner", [3, 63, 64])
-    def test_bits_route_drops_the_sentinel(self, inner):
-        # the erasure sentinel inner lies inside the word below 64 molecules
-        # and is shifted out of it at 64; either way it is no molecule
+    def test_score_routes_drop_the_sentinel(self, inner, route):
+        # the erasure sentinel inner, next to the last molecule, is no
+        # molecule: a fully erased row observes nothing
         supports = [{0, 1}, {inner - 2, inner - 1}, {0, inner - 1}]
         sc = ScalingParams(M=2, inner_size=inner, N=4, J=len(supports))
         cb = Codebook(sc, tuple(map(Codeword.from_molecules, supports)), False)
@@ -543,7 +530,7 @@ class TestScoreRoutes:
         )
         observed = [{0, 1}, set(), {0, inner - 1}]
         for rule in ("distinct_intersection", "unique_superset"):
-            scores, sizes = channel._scores(ctx, rule, reads, "bits")
+            scores, sizes = channel._scores(ctx, rule, reads, route)
             assert scores.tolist() == [[len(o & s) for s in supports] for o in observed]
         assert sizes.tolist() == [2, 0, 2]
 
@@ -633,7 +620,7 @@ def assert_draw_cover(ctx, B, p, seed):
         for rule in channel.DECODER_RULES:
             assert channel._route(ctx, model, rule, ctx.N) == "cover"
             dec = DecoderConfig(rule, epsilon=0.13)
-            routes = ("cover",) + routes_for(rule, ctx.inner)
+            routes = ("cover",) + ROUTES
             assert_same_runs(cover_runs(ctx, model, dec, seed, B, routes), (model, rule))
             wrong_rows = [
                 blocked_runs(ctx, model, dec, seed, B, ctx.N, r, [B], wrong_only=True)[0]
@@ -669,7 +656,7 @@ class TestCoverRoute:
         for model, rule in cases:
             assert channel._route(ctx, model, rule, ctx.N) == "cover"
             dec = DecoderConfig(rule, epsilon=0.13)
-            routes = ("cover",) + routes_for(rule, ctx.inner)
+            routes = ("cover",) + ROUTES
             assert_same_runs(cover_runs(ctx, model, dec, seed, B, routes), (model, rule))
 
     def test_erased_and_uncovered_rows(self):
@@ -682,7 +669,7 @@ class TestCoverRoute:
         B = 2_000
         for rule in channel.DECODER_RULES:
             model, dec = SequencingErrorModel.erasure(0.95), DecoderConfig(rule)
-            runs = cover_runs(ctx, model, dec, 4, B, ("cover",) + routes_for(rule, 64))
+            runs = cover_runs(ctx, model, dec, 4, B, ("cover",) + ROUTES)
             assert_same_runs(runs, rule)
             out = runs[0][0]
             erased = out["errors"] == 3
@@ -1007,8 +994,7 @@ class TestTieBreak:
         for model in route_models(ctx.J):
             for rule in channel.DECODER_RULES:
                 dec = DecoderConfig(rule, epsilon=0.13)
-                routes = routes_for(rule, ctx.inner)
-                route = routes[seed % len(routes)]
+                route = ROUTES[seed % len(ROUTES)]
                 rng = np.random.default_rng(seed)
                 msgs = rng.integers(0, ctx.J, size=B)
                 new = channel._trials(ctx, model, dec, rng, msgs, N, route)
@@ -1146,7 +1132,7 @@ class TestRowBlocks:
         for model in route_models(ctx.J):
             for rule in channel.DECODER_RULES:
                 dec = DecoderConfig(rule, epsilon=0.13)
-                for route in routes_for(rule, ctx.inner):
+                for route in ROUTES:
                     runs = blocked_runs(ctx, model, dec, seed, B, N, route, block_rows)
                     assert_same_runs(runs, (model, rule, route))
 
@@ -1167,7 +1153,7 @@ class TestRowBlocks:
             for model in route_models(ctx.J):
                 for rule in channel.DECODER_RULES:
                     picked = channel._route(ctx, model, rule, ctx.N)
-                    if route not in routes_for(rule, ctx.inner) and route != picked:
+                    if route == "cover" and picked != "cover":
                         continue
                     dec = DecoderConfig(rule, epsilon=0.13)
                     runs = blocked_runs(ctx, model, dec, 5, 64, ctx.N, route, [64, 1, 5])

@@ -241,7 +241,7 @@ class TestSimulateCommand:
              "--target-J", "64", "--cap", "3", "--seed", "1", "--out", str(wide)]
         ) == 0
         cases = (
-            (narrow, "distinct_intersection", "bits"),
+            (narrow, "distinct_intersection", "dense"),
             (narrow, "multiplicity_count", "dense"),
             (wide, "distinct_intersection", "sparse"),
         )
@@ -534,4 +534,28 @@ def test_workers_below_one_exit_2(tmp_path, capsys, workers):
     )
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["simulate", "--M", "8", "--inner-size", "32", "--N", "8", "--target-J", "8",
+          "--cap", "7", "--trials", "100", "--epsilon", "nan"], "nan"),
+        (["simulate", "--M", "8", "--inner-size", "32", "--N", "8", "--target-J", "8",
+          "--cap", "7", "--trials", "100", "--epsilon", "inf"], "inf"),
+        (["exponent", "--c", "1.5", "--delta", "0.5", "--tol", "inf"], "inf"),
+        (["exponent", "--c", "0.1", "--delta", "0.9", "--tol", "inf"], "inf"),
+        (["occupancy", "--c", "1e308", "--delta", "0.5", "--M-grid", "10"], "inf"),
+        (["occupancy", "--c", "inf", "--delta", "0.5", "--M-grid", "10"], "inf"),
+    ],
+    ids=["epsilon-nan", "epsilon-inf", "tol-inf", "tol-inf-zero-exponent",
+         "c-overflows", "c-inf"],
+)
+def test_non_finite_values_exit_2(tmp_path, capsys, args, named):
+    # JSON has no NaN or Infinity, and a report holding one is not JSON
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert not out.exists()

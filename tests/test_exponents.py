@@ -56,8 +56,12 @@ class TestSolveR:
             solve_r(ExponentParams(1.5, 0.9))
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(DomainError):
-            solve_r(ExponentParams(1.5, 0.5), tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="tol"):
+                solve_r(ExponentParams(1.5, 0.5), tol=tol)
+            # the zero-exponent region solves for no root, but checks tol too
+            with pytest.raises(DomainError, match="tol"):
+                exponent_multinomial(ExponentParams(0.1, 0.9), tol=tol)
 
     @given(
         c=st.floats(0.1, 5.0),
