@@ -24,21 +24,22 @@ replacements, the bool masks or int8 cases of the model's uniforms), then
 runs every later stage, the tie-break included, in row blocks of about
 _BLOCK_CELLS cells; bounded draws take the stream one value at a time, so
 the blocks' tie draws are those of one draw after the last block.  A chunk
-thus holds 4 to 19 bytes per read of draws and support positions (and,
-while their masks are made, the 8 of the float64 uniforms) plus one block
-of a few MB, whatever its route.  CapacityError refuses, before they are
-allocated, a chunk of more than DEFAULT_CELL_CAP reads and a sparse-route
-block whose scores and index entries exceed as many cells.
+thus holds 4 to 15 bytes per read of draws (and, while their masks are
+made, the 8 of the float64 uniforms) plus one block of a few MB, whatever
+its route.  CapacityError refuses, before they are allocated, a chunk of
+more than DEFAULT_CELL_CAP reads and a sparse-route block whose scores and
+index entries exceed as many cells.
 
-The kernel returns what every caller reads; the guarantee flags and the
-failure cause come from ``_flags`` and ``_failure_cause``, which the
-estimator runs on wrong trials only (it tallies causes of wrong trials and
-nothing else) and the single-trial functions on their one trial.  So the
-clean occupancy and error count, read by the flags alone, are counted for
-those trials only (about 3e-4 of the erasure headline's).  The
-codebook's separation scan, ``Codebook.max_intersection``, is read only by
-the unique_superset coverage flag and the single-trial separation flag, so
-no other run scans; the context holds no codebook.
+``_trials`` is a driver over three stages: ``_draw`` takes the chunk's
+draws, ``_decide`` decides a row block on one of the routes below (the
+driver then breaks its ties), and ``_diagnose`` gives the clean occupancy,
+the error count, the first two guarantee flags and the failure cause of
+the rows it is asked for, from their draws alone.  The estimator asks for
+its wrong trials, as it tallies the causes of those alone (about 3e-4 of
+the erasure headline's trials), and the single-trial functions for their
+one trial.  The codebook's separation scan, ``Codebook.max_intersection``,
+is read only by the unique_superset coverage flag and the single-trial
+separation flag, so no other run scans; the context holds no codebook.
 
 The decision takes one of three routes, which ``score_route`` picks from the
 shape, the model and the rule alone.  Up to 64 codewords, the cover route
@@ -152,8 +153,8 @@ class SequencingErrorModel:
         if self.kind == "none" and self.p != 0.0:
             raise DomainError("the error-free model must have p = 0")
         if self.kind == "adversarial":
-            if self.attack_pair is None:
-                raise DomainError("adversarial model needs an attack_pair")
+            if self.attack_pair is None or len(self.attack_pair) != 2:
+                raise DomainError("adversarial model needs an attack_pair of two")
             i, j = self.attack_pair
             if i == j:
                 raise DomainError("attack_pair must name two distinct messages")
@@ -264,18 +265,12 @@ class _Context:
         self.support_mask = mask = cb.support_mask
         row, col = np.nonzero(mask)
         mults = cb.mults[mask]
-        # J x M tables of molecule ids and support positions, int32 below
-        # 2^31 molecules (the erasure sentinel inner included)
+        # J x M tables of molecule ids and of their support positions,
+        # int32 below 2^31 molecules (the erasure sentinel inner included)
         ids = np.int32 if self.inner < 1 << 31 else np.int64
         expanded = np.repeat(cb.molecules[mask], mults).reshape(self.J, self.M)
         self.expanded = expanded.astype(ids)
-        # the support position of each expanded molecule; None when no
-        # codeword repeats a molecule, as a draw's position is then its
-        # sampling index (skipping the B x N gather saves about 5 % of a
-        # criterion-11 chunk)
-        self.positions = None
-        if (cb.sizes < self.M).any():
-            self.positions = np.repeat(col, mults).reshape(self.J, self.M).astype(ids)
+        self.positions = np.repeat(col, mults).reshape(self.J, self.M).astype(ids)
         # inverted index (CSR): the codewords holding molecule m, ascending,
         # are inv_idx[inv_ptr[m]:inv_ptr[m + 1]]; the erasure sentinel
         # m = inner holds none
@@ -414,42 +409,29 @@ def _sparse_cells(ctx, model, rule, n) -> float:
 
 
 def _block_rows(ctx, model, rule, route, n) -> int:
-    """Trials per row block of the kernel's deterministic stages: those of
-    _BLOCK_CELLS cells, a trial counting its n reads, its J scores and, on
-    the sparse route, its _sparse_cells or, on the dense route, its
-    inner + 1 occupancy cells, whichever is most.  A codebook whose
-    molecules are shared unevenly touches more entries than expected (500
-    codewords sharing 56 of 64 molecules peak at about 55 MB); only the cap
-    in _scores bounds such a block."""
+    """Trials per row block of the kernel's stages: those of _BLOCK_CELLS
+    cells, a trial counting its n reads, its J scores and, on the sparse
+    route, its _sparse_cells or, on the dense route, its inner + 1 occupancy
+    cells, whichever is most.  A codebook whose molecules are shared
+    unevenly touches more entries than expected (500 codewords sharing 56 of
+    64 molecules peak at about 55 MB); only the cap in _scores bounds such a
+    block."""
     cells = max(n, ctx.J, ctx.inner + 1 if route == "dense" else 0)
     if route == "sparse":
         cells = max(cells, _sparse_cells(ctx, model, rule, n))
     return max(1, int(_BLOCK_CELLS // cells))
 
 
-@_on_one_blas_thread
-def _trials(ctx, model, dec, rng, msgs, N, route, wrong_only=False) -> dict:
-    """The trial kernel: N reads of each message in msgs pass through the
-    error model and the decoder, with draws taken from rng in the order the
-    module docstring gives; route is score_route's pick.
-
-    The chunk is drawn whole, and refused with CapacityError before its
-    first draw when it holds more than DEFAULT_CELL_CAP reads; the masks of
-    the model's uniforms replace them at once.  Every later stage, and the
-    tie-break draw, runs in row blocks of _block_rows trials, whose
-    per-trial results are joined after the last block.  The cover route
-    decides by cover words (module docstring), and a tied row takes the
-    k-th set bit of its word for the k the score routes draw; only a route
-    of "cover" takes it, so a forced score route runs its own code.
-
-    Returns per-trial arrays: decoded (-1 where unique_superset finds no
-    single containing codeword), wrong, distinct (the clean occupancy) and
-    errors, of wrong trials only if wrong_only (0 on the others), tie and
-    positions (trials x N, the support position of each clean draw, which
-    _flags reads); the adversarial model adds cases (trials x N), pattern_i
-    and bad."""
-    M, inner, J = ctx.M, ctx.inner, ctx.J
-    B = msgs.size
+def _draw(ctx, model, rng, msgs, N) -> dict:
+    """The draws of N reads of each message in msgs, taken from rng in the
+    order the module docstring gives; refused with CapacityError before the
+    first draw when they number more than DEFAULT_CELL_CAP.  Besides the
+    messages "msgs", each is trials x N: "idx", the sampling indices, then
+    the model's ("kind" is "none" at p = 0): the mask "mask", with "repl"
+    for random, or the attack's masks "from_a" and "from_b" and indices
+    "idx_a" and "idx_b" into "targets", and "cases" (0 clean, 1 or 2 from
+    either target) for any attack."""
+    M, B = ctx.M, msgs.size
     kind = "none" if model.p == 0.0 else model.kind
     if B * N > DEFAULT_CELL_CAP:
         raise CapacityError(
@@ -457,142 +439,101 @@ def _trials(ctx, model, dec, rng, msgs, N, route, wrong_only=False) -> dict:
             f"{DEFAULT_CELL_CAP}; fewer reads, or fewer trials than one chunk, "
             "get under it"
         )
-
-    # the draws; on Philox and PCG64, int32 draws give the values and the
-    # stream of int64 draws, here and for the replacements below
-    sample_idx = rng.integers(0, M, size=(B, N), dtype=np.int32)
-    cases = None
+    # on Philox and PCG64, int32 draws give the values and the stream of
+    # int64 draws, here and for the replacements below
+    draws = {"kind": kind, "msgs": msgs}
+    draws["idx"] = rng.integers(0, M, size=(B, N), dtype=np.int32)
     if kind in ("erasure", "random"):
-        mask = rng.random((B, N)) < model.p
+        draws["mask"] = rng.random((B, N)) < model.p
     if kind == "random":
-        repl = rng.integers(0, inner, size=(B, N), dtype=ctx.expanded.dtype)
+        ids = ctx.expanded.dtype
+        draws["repl"] = rng.integers(0, ctx.inner, size=(B, N), dtype=ids)
     elif kind == "adversarial":
         u = rng.random((B, N))
         from_a = u < model.p / 2.0
         from_b = (u < model.p) & ~from_a
         del u
-        cases = from_a + np.int8(2) * from_b
-        idx_a = rng.integers(0, M, size=(B, N), dtype=np.int32)
-        idx_b = rng.integers(0, M, size=(B, N), dtype=np.int32)
-        target_a, target_b = (ctx.expanded[i] for i in model.attack_pair)
+        draws.update(from_a=from_a, from_b=from_b, cases=from_a + np.int8(2) * from_b)
+        draws["idx_a"] = rng.integers(0, M, size=(B, N), dtype=np.int32)
+        draws["idx_b"] = rng.integers(0, M, size=(B, N), dtype=np.int32)
+        draws["targets"] = [ctx.expanded[i] for i in model.attack_pair]
     elif model.kind == "adversarial":
-        cases = np.zeros((B, N), dtype=np.int8)
+        draws["cases"] = np.zeros((B, N), dtype=np.int8)
+    return draws
 
-    # one gather per J x M table through the flat index of each draw
-    expanded = ctx.expanded.ravel()
-    positions = sample_idx
-    if ctx.positions is not None:
-        position_of = ctx.positions.ravel()
-        positions = np.empty((B, N), dtype=position_of.dtype)
-    S = ctx.support_mask.shape[1]
-    by_draw = route == "cover" and kind in ("none", "erasure")
-    parts = []
-    step = _block_rows(ctx, model, dec.rule, route, N) if B > 1 else B
-    for r in range(0, B, step):
-        blk = slice(r, r + step)
-        flat = (msgs[blk] * M)[:, None] + sample_idx[blk]
-        if ctx.positions is not None:
-            np.take(position_of, flat, out=positions[blk])
-        if by_draw:
-            # each draw's cover word; an erased read's is the identity
-            words = ctx.cover_words.ravel()[flat]
-            if kind == "erasure":
-                words |= np.multiply(mask[blk], ctx.cover_bits[inner], dtype=np.uint64)
-            cover = np.bitwise_and.reduce(words, axis=1)
-        else:
-            # the models select by arithmetic on their masks, not by branching
-            sampled = expanded[flat]
-            if kind == "none":
-                reads = sampled
-            elif kind == "erasure":
-                # the sentinel molecule inner marks erasures; it exceeds every
-                # molecule, so the maximum selects it
-                erased = np.multiply(mask[blk], inner, dtype=sampled.dtype)
-                reads = np.maximum(sampled, erased)
-            elif kind == "random":
-                reads = sampled + (repl[blk] - sampled) * mask[blk]
-            else:
-                reads = sampled + (target_a[idx_a[blk]] - sampled) * from_a[blk]
-                reads += (target_b[idx_b[blk]] - sampled) * from_b[blk]
-            if route == "cover":
-                cover = np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1)
 
-        # the top codewords (for unique_superset those covering the observed
-        # molecules), their count and the first of them
+def _flat(ctx, draws, rows):
+    """Each draw's index into the J x M tables, for the trials rows."""
+    return (draws["msgs"][rows] * ctx.M)[:, None] + draws["idx"][rows]
+
+
+def _reads(ctx, draws, rows):
+    """(sampled, reads) of the trials rows: the molecule of each draw, and
+    the read the model makes of it, the sentinel inner for an erasure.  The
+    models select by arithmetic on their masks, not by branching."""
+    sampled = ctx.expanded.ravel()[_flat(ctx, draws, rows)]
+    kind = draws["kind"]
+    if kind == "none":
+        return sampled, sampled
+    if kind == "erasure":
+        # the sentinel exceeds every molecule, so the maximum selects it
+        erased = np.multiply(draws["mask"][rows], ctx.inner, dtype=sampled.dtype)
+        return sampled, np.maximum(sampled, erased)
+    if kind == "random":
+        replaced = draws["mask"][rows]
+        return sampled, sampled + (draws["repl"][rows] - sampled) * replaced
+    target_a, target_b = draws["targets"]
+    reads = sampled + (target_a[draws["idx_a"][rows]] - sampled) * draws["from_a"][rows]
+    reads += (target_b[draws["idx_b"][rows]] - sampled) * draws["from_b"][rows]
+    return sampled, reads
+
+
+def _decide(ctx, route, rule, draws, rows):
+    """(n_top, first, top) of the trials rows (a slice) decided on route:
+    the count of top codewords (for unique_superset those holding every
+    observed molecule), the first of them, and the set a tie-break picks
+    from: the cover word of each row on the cover route (module docstring),
+    else the rows x J at_top matrix of the scores."""
+    if route == "cover" and draws["kind"] in ("none", "erasure"):
+        # each draw's cover word; an erased read's is the identity
+        words = ctx.cover_words.ravel()[_flat(ctx, draws, rows)]
+        if draws["kind"] == "erasure":
+            erased = draws["mask"][rows]
+            words |= np.multiply(erased, ctx.cover_bits[ctx.inner], dtype=np.uint64)
+        top = np.bitwise_and.reduce(words, axis=1)
+    else:
+        reads = _reads(ctx, draws, rows)[1]
         if route == "cover":
-            n_top = np.bitwise_count(cover)
-            # the lowest set bit is the count of the bits below it
-            decoded = np.bitwise_count((cover & -cover) - np.uint64(1)).astype(np.intp)
-        else:
-            scores, observed_sizes = _scores(ctx, dec.rule, reads, route)
-            if dec.rule == "unique_superset":
-                at_top = scores == observed_sizes[:, None]
-            else:
-                # scores are never NaN, and fmax reduces faster than max
-                at_top = scores == np.fmax.reduce(scores, axis=1)[:, None]
-            decoded = np.argmax(at_top, axis=1)
-            n_top = np.count_nonzero(at_top, axis=1)
-        if dec.rule == "unique_superset":
-            decoded[n_top != 1] = -1
-            tie = np.zeros(decoded.shape, dtype=bool)
-        else:
-            tie = n_top > 1
-            tied = np.flatnonzero(tie)
-            if tied.size:
-                # a uniform pick among a tied row's top codewords: the k-th
-                # of them is the first column whose running count exceeds
-                # k.  Bounded draws take the stream one value at a time, so
-                # the blocks' draws are those of one draw after the loop
-                k = rng.integers(0, n_top[tied])
-                if route == "cover":
-                    words = cover[tied].astype("<u8").view(np.uint8).reshape(-1, 8)
-                    top = np.unpackbits(words, axis=1, bitorder="little")
-                else:
-                    top = at_top[tied]
-                ranks = np.cumsum(top, axis=1)
-                decoded[tied] = np.argmax(ranks > k[:, None], axis=1)
-        # clean occupancy and errors of the rows the caller reads, 0 on the
-        # others
-        wrong = decoded != msgs[blk]
-        rows = np.flatnonzero(wrong) if wrong_only else slice(None)
-        distinct, errors = np.zeros((2, wrong.size), dtype=np.intp)
-        distinct[rows] = distinct_per_row(positions[blk][rows], S)
-        if kind == "erasure":
-            errors[rows] = mask[blk][rows].sum(axis=1)
-        elif kind != "none":
-            errors[rows] = (reads[rows] != sampled[rows]).sum(axis=1)
-        parts.append((decoded, wrong, distinct, errors, tie))
-    decoded, wrong, distinct, errors, tie = map(np.concatenate, zip(*parts))
-
-    out = {
-        "decoded": decoded,
-        "wrong": wrong,
-        "distinct": distinct,
-        "errors": errors,
-        "tie": tie,
-        "positions": positions,
-    }
-    if cases is not None:
-        a, b = model.attack_pair
-        head, tail = np.split(cases, [(N + 1) // 2], axis=1)
-        pattern_i = (head == 2).all(axis=1) & (tail == 0).all(axis=1)
-        pattern_ii = (head == 0).all(axis=1) & (tail == 1).all(axis=1)
-        out["cases"] = cases
-        out["pattern_i"] = pattern_i
-        out["bad"] = np.where(
-            msgs == a, pattern_i, np.where(msgs == b, pattern_ii, False)
-        )
-    return out
+            top = np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1)
+    if route == "cover":
+        # the lowest set bit is the count of the bits below it
+        first = np.bitwise_count((top & -top) - np.uint64(1)).astype(np.intp)
+        return np.bitwise_count(top), first, top
+    scores, observed_sizes = _scores(ctx, rule, reads, route)
+    if rule == "unique_superset":
+        top = scores == observed_sizes[:, None]
+    else:
+        # scores are never NaN, and fmax reduces faster than max
+        top = scores == np.fmax.reduce(scores, axis=1)[:, None]
+    return np.count_nonzero(top, axis=1), np.argmax(top, axis=1), top
 
 
-def _flags(ctx, cb, dec, t, msgs, rows):
-    """(errors_ok, coverage_ok), the first two guarantee flags, of the trials
-    rows (an index array) of the kernel output t for messages msgs on cb.
-    The estimator reads flags only through the cause of wrong trials, so it
-    asks for those rows alone.  Only the unique_superset coverage flag reads
-    the separation scan, so no other rule scans."""
-    M, N = ctx.M, t["positions"].shape[1]
-    errors, distinct = t["errors"][rows], t["distinct"][rows]
+def _diagnose(ctx, cb, dec, draws, rows, wrong, tie) -> dict:
+    """Diagnostics of the trials rows (an index array), each an array over
+    rows: "distinct" (the clean occupancy: distinct support positions
+    drawn), "errors" (reads the model changed), "errors_ok" and
+    "coverage_ok" (the first two guarantee flags) and "cause" (a
+    FAILURE_CAUSES index: "none" for a right trial, else by the priority tie
+    > outage > sequencing > collision).  A row's values depend on its own
+    draws alone, so any rows give the all-rows values at those rows.  Only
+    the unique_superset coverage flag reads the separation scan, so no
+    other rule scans."""
+    M, N = ctx.M, draws["idx"].shape[1]
+    S = ctx.support_mask.shape[1]
+    positions = ctx.positions.ravel()[_flat(ctx, draws, rows)]
+    sampled, reads = _reads(ctx, draws, rows)
+    errors = (reads != sampled).sum(axis=1)
+    distinct = distinct_per_row(positions, S)
     eps, eta = dec.epsilon, dec.eta
     if dec.rule == "distinct_intersection":
         errors_ok = errors <= eps * M
@@ -601,38 +542,93 @@ def _flags(ctx, cb, dec, t, msgs, rows):
         errors_ok = errors < eps * eta * N
         # reads per support position of the sent codeword; the offsets are
         # int64, so the sum cannot overflow int32 positions
-        S = ctx.support_mask.shape[1]
-        flat0 = t["positions"][rows] + (np.arange(rows.size) * S)[:, None]
+        flat0 = positions + (np.arange(rows.size) * S)[:, None]
         counts0 = np.bincount(flat0.ravel(), minlength=rows.size * S)
         counts0 = counts0.reshape(rows.size, S)
-        held = ctx.support_mask[msgs[rows]]
+        held = ctx.support_mask[draws["msgs"][rows]]
         undersampled = ((counts0 <= eta * N / M) & held).sum(axis=1)
         coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * eps) * M
     else:
         errors_ok = errors == 0
         coverage_ok = distinct > cb.max_intersection()[0]
-    return errors_ok, coverage_ok
-
-
-def _failure_cause(tie, errors_ok, coverage_ok):
-    """FAILURE_CAUSES index of wrong trials with these tie flags and
-    guarantee flags; the priority is tie > outage > sequencing > collision."""
-    cause = np.full(tie.shape, 2, dtype=np.int8)
+    cause = np.full(rows.size, 2, dtype=np.int8)
     cause[~errors_ok] = 3
     cause[~coverage_ok] = 1
-    cause[tie] = 4
-    return cause
+    cause[tie[rows]] = 4
+    cause[~wrong[rows]] = 0
+    return {
+        "distinct": distinct,
+        "errors": errors,
+        "errors_ok": errors_ok,
+        "coverage_ok": coverage_ok,
+        "cause": cause,
+    }
 
 
-def _one_trial(ctx, cb, message, model, dec, rng, n_reads) -> TrialOutcome:
+@_on_one_blas_thread
+def _trials(cb, model, dec, rng, msgs, N, route, rows=None) -> dict:
+    """The trial kernel: N reads of each message in msgs pass through the
+    error model and the decoder on cb, route being score_route's pick.
+    _decide runs in row blocks of _block_rows trials, each followed by its
+    tie-break draw, a uniform pick among a tied row's top codewords; a
+    forced score route runs its own code.  _diagnose then reads the trials
+    rows (an index array, or the wrong ones if rows is None), as many a block.
+
+    Returns per-trial arrays decoded (-1 where unique_superset finds no
+    single containing codeword), wrong and tie; rows and _diagnose's arrays
+    over them; for the adversarial model cases (trials x N), pattern_i and
+    bad."""
+    ctx = _context(cb)
+    draws = _draw(ctx, model, rng, msgs, N)
+    B = msgs.size
+    decoded = np.empty(B, dtype=np.intp)
+    tie = np.zeros(B, dtype=bool)
+    step = _block_rows(ctx, model, dec.rule, route, N) if B > 1 else B
+    for r in range(0, B, step):
+        blk = slice(r, r + step)
+        n_top, first, top = _decide(ctx, route, dec.rule, draws, blk)
+        if dec.rule == "unique_superset":
+            first[n_top != 1] = -1
+        else:
+            tie[blk] = n_top > 1
+            tied = np.flatnonzero(tie[blk])
+            if tied.size:
+                # the k-th of a tied row's top codewords is the first column
+                # whose running count exceeds k
+                k = rng.integers(0, n_top[tied])
+                top = top[tied]
+                if route == "cover":
+                    top = top.astype("<u8").view(np.uint8).reshape(-1, 8)
+                    top = np.unpackbits(top, axis=1, bitorder="little")
+                first[tied] = np.argmax(np.cumsum(top, axis=1) > k[:, None], axis=1)
+        decoded[blk] = first
+    wrong = decoded != msgs
+    rows = np.flatnonzero(wrong) if rows is None else rows
+    parts = [
+        _diagnose(ctx, cb, dec, draws, rows[i : i + step], wrong, tie)
+        for i in range(0, max(rows.size, 1), step)
+    ]
+    out = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    out.update(decoded=decoded, wrong=wrong, tie=tie, rows=rows)
+    if "cases" in draws:
+        a, b = model.attack_pair
+        head, tail = np.split(draws["cases"], [(N + 1) // 2], axis=1)
+        pattern_i = (head == 2).all(axis=1) & (tail == 0).all(axis=1)
+        pattern_ii = (head == 0).all(axis=1) & (tail == 1).all(axis=1)
+        out["cases"] = draws["cases"]
+        out["pattern_i"] = pattern_i
+        out["bad"] = np.where(msgs == a, pattern_i, (msgs == b) & pattern_ii)
+    return out
+
+
+def _one_trial(cb, message, model, dec, rng, n_reads) -> TrialOutcome:
     """A batch of one through the kernel on cb, as a TrialOutcome."""
     if n_reads < 1:
         raise DomainError("need at least one read")
+    ctx = _context(cb)
     route = _route(ctx, model, dec.rule, n_reads)
-    msgs = np.array([message])
-    batch = _trials(ctx, model, dec, rng, msgs, n_reads, route)
-    errors_ok, coverage_ok = _flags(ctx, cb, dec, batch, msgs, np.arange(1))
-    cause = _failure_cause(batch["tie"], errors_ok, coverage_ok)[0]
+    msgs, rows = np.array([message]), np.arange(1)
+    batch = _trials(cb, model, dec, rng, msgs, n_reads, route, rows)
     t = {key: column[0] for key, column in batch.items()}
     decoded = int(t["decoded"])
     return TrialOutcome(
@@ -642,11 +638,11 @@ def _one_trial(ctx, cb, message, model, dec, rng, n_reads) -> TrialOutcome:
         distinct_sampled=int(t["distinct"]),
         sequencing_errors=int(t["errors"]),
         guarantee_flags=(
-            bool(errors_ok[0]),
-            bool(coverage_ok[0]),
+            bool(t["errors_ok"]),
+            bool(t["coverage_ok"]),
             bool(cb.max_intersection()[0] < (ctx.r0 + dec.epsilon) * ctx.M),
         ),
-        failure_cause=FAILURE_CAUSES[cause if t["wrong"] else 0],
+        failure_cause=FAILURE_CAUSES[t["cause"]],
         tie_broken=bool(t["tie"]),
         attack_cases=tuple(int(c) for c in t["cases"]) if "cases" in t else None,
         attack_bad_event=bool(t["bad"]) if "bad" in t else None,
@@ -673,7 +669,7 @@ def run_trial(
     _check_attack_pair(model, ctx.J)
     n = ctx.N if n_reads is None else n_reads
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
-    return _one_trial(ctx, cb, message, model, dec, rng, n)
+    return _one_trial(cb, message, model, dec, rng, n)
 
 
 def adversarial_attack_trial(
@@ -697,7 +693,7 @@ def adversarial_attack_trial(
         dec = DecoderConfig("multiplicity_count")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _KEY_MASK))
     message = (i, j)[int(rng.integers(0, 2))]
-    return _one_trial(ctx, cb, message, model, dec, rng, ctx.N if N is None else N)
+    return _one_trial(cb, message, model, dec, rng, ctx.N if N is None else N)
 
 
 def _chunk_size(J: int) -> int:
@@ -710,16 +706,16 @@ def _estimate_chunk(spec):
     ctx = _context(cb)
     rng = chunk_rng(master_seed, chunk_index)
     msgs = rng.integers(0, ctx.J, size=size)
-    t = _trials(ctx, model, dec, rng, msgs, ctx.N, route, wrong_only=True)
-    wrong = np.flatnonzero(t["wrong"])
-    cause = _failure_cause(t["tie"][wrong], *_flags(ctx, cb, dec, t, msgs, wrong))
-    cause_counts = np.bincount(cause, minlength=len(FAILURE_CAUSES))
-    cause_counts[0] = size - wrong.size
+    # the kernel diagnoses the wrong trials, whose causes are tallied
+    t = _trials(cb, model, dec, rng, msgs, ctx.N, route)
+    errors = int(np.count_nonzero(t["wrong"]))
+    cause_counts = np.bincount(t["cause"], minlength=len(FAILURE_CAUSES))
+    cause_counts[0] = size - errors
     attack = None
     if "bad" in t:
         bad = t["bad"]
         attack = int(t["pattern_i"].sum()), int(bad.sum()), int((bad & t["wrong"]).sum())
-    return int(wrong.size), cause_counts, attack
+    return errors, cause_counts, attack
 
 
 def estimate_error_probability(

@@ -48,13 +48,20 @@ def _load_config(path: str | None) -> dict:
     return loaded
 
 
-def _pick(args, config: dict, dest: str, default=None):
+def _pick(args, config: dict, dest: str, default=None, kind=None):
+    """The flag dest, else the config's non-null value, else default, as kind
+    (a type, or [type] for a list); a config value that won't do is refused."""
     value = getattr(args, dest, None)
-    if value is not None:
+    if value is None:
+        value = default if config.get(dest) is None else config[dest]
+    if value is None or kind is None:
         return value
-    if dest in config:
-        return config[dest]
-    return default
+    try:
+        if isinstance(kind, list) != isinstance(value, list):
+            raise TypeError
+        return [kind[0](v) for v in value] if isinstance(kind, list) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"cannot read {dest} from {value!r}") from None
 
 
 def _output(args, config: dict, default_out=None) -> tuple[str | None, str]:
@@ -63,7 +70,7 @@ def _output(args, config: dict, default_out=None) -> tuple[str | None, str]:
     fmt = _pick(args, config, "format", "json")
     if fmt not in ("csv", "json"):
         raise DomainError(f"unknown output format {fmt!r}")
-    return _pick(args, config, "out", default_out), fmt
+    return _pick(args, config, "out", default_out, str), fmt
 
 
 def _timestamp() -> str:
@@ -135,30 +142,29 @@ def _finite_or_none(x: float):
 
 def cmd_exponent(args) -> int:
     config = _load_config(args.config)
-    cs = _pick(args, config, "c")
-    deltas = _pick(args, config, "delta")
+    cs = _pick(args, config, "c", kind=[float])
+    deltas = _pick(args, config, "delta", kind=[float])
     if cs is None and deltas is None:
         cs, deltas = fig1_default_grid()
     elif cs is None or deltas is None:
         raise DomainError("give both --c and --delta, or neither for the preset grid")
-    tol = _pick(args, config, "tol", exponents.DEFAULT_ROOT_TOL)
+    tol = _pick(args, config, "tol", exponents.DEFAULT_ROOT_TOL, float)
     rows = []
     for c in cs:
         for delta in deltas:
-            params = exponents.ExponentParams(c=float(c), delta=float(delta))
+            params = exponents.ExponentParams(c=c, delta=delta)
             res = exponents.exponent_multinomial(params, tol)
             rows.append(
                 {
-                    "c": float(c),
-                    "delta": float(delta),
+                    "c": c,
+                    "delta": delta,
                     "r": res.r,
                     "f_multinomial": res.f_value,
                     "f_poisson": exponents.exponent_poisson(params),
                     "regime": res.regime,
                 }
             )
-    resolved = {"command": "exponent", "c": list(map(float, cs)),
-                "delta": [float(d) for d in deltas], "tol": tol,
+    resolved = {"command": "exponent", "c": cs, "delta": deltas, "tol": tol,
                 "seed": _pick(args, config, "seed")}
     _write_table(
         *_output(args, config),
@@ -175,19 +181,18 @@ def cmd_exponent(args) -> int:
 
 def cmd_occupancy(args) -> int:
     config = _load_config(args.config)
-    cell_cap = int(_pick(args, config, "cell_cap", balls_bins.DEFAULT_CELL_CAP))
-    dist_m = _pick(args, config, "dist_M")
-    dist_n = _pick(args, config, "dist_N")
+    cell_cap = _pick(args, config, "cell_cap", balls_bins.DEFAULT_CELL_CAP, int)
+    dist_m = _pick(args, config, "dist_M", kind=int)
+    dist_n = _pick(args, config, "dist_N", kind=int)
     if dist_m is not None or dist_n is not None:
         if dist_m is None or dist_n is None:
             raise DomainError("distribution mode needs both --dist-M and --dist-N")
-        return _occupancy_distribution(args, config, int(dist_m), int(dist_n), cell_cap)
-    c = _pick(args, config, "c")
-    delta = _pick(args, config, "delta")
+        return _occupancy_distribution(args, config, dist_m, dist_n, cell_cap)
+    c = _pick(args, config, "c", kind=float)
+    delta = _pick(args, config, "delta", kind=float)
     if c is None or delta is None:
         raise DomainError("convergence mode needs --c and --delta")
-    grid = [int(m) for m in _pick(args, config, "M_grid", [100, 200, 400, 800, 1600])]
-    c, delta = float(c), float(delta)
+    grid = _pick(args, config, "M_grid", [100, 200, 400, 800, 1600], [int])
     limit = exponents.exponent_multinomial(exponents.ExponentParams(c, delta)).f_value
     rows = []
     for M in grid:
@@ -264,14 +269,14 @@ def _occupancy_distribution(args, config, M, N, cell_cap) -> int:
 
 def _build_codebook(args, config, seed: int) -> tuple[cbk.Codebook, dict, object]:
     """Returns (codebook or partial, resolved build config, shortfall or None)."""
-    M = int(_pick(args, config, "M", 16))
-    inner = int(_pick(args, config, "inner_size", 64))
-    N = int(_pick(args, config, "N", 2 * M))
-    target_j = int(_pick(args, config, "target_J", 100))
-    cap = _pick(args, config, "cap")
-    budget = int(_pick(args, config, "budget", max(100 * target_j, 10_000)))
+    M = _pick(args, config, "M", 16, int)
+    inner = _pick(args, config, "inner_size", 64, int)
+    N = _pick(args, config, "N", 2 * M, int)
+    target_j = _pick(args, config, "target_J", 100, int)
+    cap = _pick(args, config, "cap", kind=int)
+    budget = _pick(args, config, "budget", max(100 * target_j, 10_000), int)
     kind = _pick(args, config, "kind", "index")
-    t = _pick(args, config, "t")
+    t = _pick(args, config, "t", kind=float)
     scaling = ScalingParams(
         M=M, inner_size=inner, N=N, J=target_j, p_seq=_picked_p(args, config)
     )
@@ -291,17 +296,17 @@ def _build_codebook(args, config, seed: int) -> tuple[cbk.Codebook, dict, object
         if kind == "index":
             if cap is None:
                 raise DomainError("index builds need --cap")
-            built = cbk.greedy_index_codebook(scaling, int(cap), target_j, seed, budget)
+            built = cbk.greedy_index_codebook(scaling, cap, target_j, seed, budget)
         elif kind == "repetition":
             if t is None:
                 raise DomainError("repetition builds need --t")
             built = cbk.repetition_codebook(
                 scaling,
-                float(t),
+                t,
                 target_j,
                 seed=seed,
                 attempt_budget=budget,
-                intersection_cap=None if cap is None else int(cap),
+                intersection_cap=cap,
             )
         else:
             raise DomainError(f"unknown codebook kind {kind!r}")
@@ -321,7 +326,7 @@ def _separation_report(cb: cbk.Codebook, cap) -> dict:
         "max_intersection": observed,
         "witness_pair": list(witness) if witness else None,
         "cap": cap,
-        "cap_satisfied": None if cap is None else observed <= int(cap),
+        "cap_satisfied": None if cap is None else observed <= cap,
         "K1_upper": bounds.K1_upper,
         "K2_lower": bounds.K2_lower,
         "K3_lower": bounds.K3_lower,
@@ -331,7 +336,7 @@ def _separation_report(cb: cbk.Codebook, cap) -> dict:
 
 def cmd_codebook(args) -> int:
     config = _load_config(args.config)
-    seed = int(_pick(args, config, "seed", 0))
+    seed = _pick(args, config, "seed", 0, int)
     built, resolved, shortfall = _build_codebook(args, config, seed)
     out = _output(args, config, "codebook.json")[0]
     cbk.save_codebook(built, out)
@@ -362,7 +367,7 @@ def cmd_codebook(args) -> int:
 def _simulation_codebook(args, config, seed) -> tuple[cbk.Codebook, dict]:
     """The stored codebook named by --codebook, or one built from the build
     options; returns (codebook, resolved build config)."""
-    path = _pick(args, config, "codebook")
+    path = _pick(args, config, "codebook", kind=str)
     if path:
         return cbk.load_codebook(path), {"codebook": path}
     cb, build_cfg, shortfall = _build_codebook(args, config, seed)
@@ -375,25 +380,21 @@ def _channel_setup(args, config, p: float):
     """Returns (error model at sequencing error probability p, decoder
     config, trials)."""
     kind = _pick(args, config, "model", "none")
-    pair = _pick(args, config, "attack_pair")
-    if kind == "adversarial":
-        if pair is None:
-            raise DomainError("adversarial model needs --attack-pair I J")
-        pair = tuple(int(x) for x in pair)
-    else:
-        pair = None
+    # other models ignore a given pair; the adversarial model needs one
+    pair = _pick(args, config, "attack_pair", kind=[int])
+    pair = tuple(pair) if kind == "adversarial" and pair is not None else None
     model = channel.SequencingErrorModel(kind, 0.0 if kind == "none" else p, pair)
     dec = channel.DecoderConfig(
         rule=_pick(args, config, "decoder", "distinct_intersection"),
-        epsilon=float(_pick(args, config, "epsilon", 0.05)),
-        eta=float(_pick(args, config, "eta", 0.5)),
+        epsilon=_pick(args, config, "epsilon", 0.05, float),
+        eta=_pick(args, config, "eta", 0.5, float),
     )
-    trials = int(_pick(args, config, "trials", 10_000))
+    trials = _pick(args, config, "trials", 10_000, int)
     return model, dec, trials
 
 
 def _picked_p(args, config) -> float:
-    return float(_pick(args, config, "p", 0.0) or 0.0)
+    return _pick(args, config, "p", 0.0, float) or 0.0
 
 
 def _bound_rows(cb: cbk.Codebook, model, report) -> list[dict]:
@@ -442,8 +443,8 @@ def _bound_rows(cb: cbk.Codebook, model, report) -> list[dict]:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    seed = int(_pick(args, config, "seed", 0))
-    workers = int(_pick(args, config, "workers", 1))
+    seed = _pick(args, config, "seed", 0, int)
+    workers = _pick(args, config, "workers", 1, int)
     cb, build_cfg = _simulation_codebook(args, config, seed)
     model, dec, trials = _channel_setup(args, config, _picked_p(args, config))
     report = channel.estimate_error_probability(cb, model, dec, trials, seed, workers)
@@ -492,17 +493,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    seed = int(_pick(args, config, "seed", 0))
-    workers = int(_pick(args, config, "workers", 1))
+    seed = _pick(args, config, "seed", 0, int)
+    workers = _pick(args, config, "workers", 1, int)
     param = _pick(args, config, "param", "p")
-    values = _pick(args, config, "values")
+    values = _pick(args, config, "values", kind=[float])
     if not values:
         raise DomainError("sweep needs --values")
     if param not in ("p", "N"):
         raise DomainError("sweep parameter must be one of: p, N")
     for value in values if param == "N" else ():
-        if not float(value).is_integer():
+        if not value.is_integer():
             raise DomainError(f"sweep over N needs integer values, got {value}")
+    if param == "p" and _pick(args, config, "model", "none") == "none":
+        raise DomainError("sweep over p needs an error model: the none model ignores p")
     cb, _ = _simulation_codebook(args, config, seed)
     if param == "N":
         model, dec, trials = _channel_setup(args, config, _picked_p(args, config))
@@ -510,7 +513,7 @@ def cmd_sweep(args) -> int:
     routes = []
     for value in values:
         if param == "p":
-            model, dec, trials = _channel_setup(args, config, float(value))
+            model, dec, trials = _channel_setup(args, config, value)
         else:
             # replace() also carries the cached separation scan, which
             # depends on the codewords alone
@@ -524,7 +527,7 @@ def cmd_sweep(args) -> int:
         rows.append(
             {
                 "param": param,
-                "value": float(value),
+                "value": value,
                 "trials": report.trials,
                 "errors": report.errors,
                 "p_hat": report.p_hat,
@@ -534,7 +537,7 @@ def cmd_sweep(args) -> int:
     resolved = {
         "command": "sweep",
         "param": param,
-        "values": [float(v) for v in values],
+        "values": values,
         "seed": seed,
         "workers": workers,
     }

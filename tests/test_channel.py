@@ -410,10 +410,8 @@ class TestScoreRoutes:
                 for route in ROUTES:
                     rng = np.random.default_rng(seed)
                     msgs = rng.integers(0, ctx.J, size=B)
-                    out = channel._trials(ctx, model, dec, rng, msgs, N, route)
-                    flags = channel._flags(ctx, cb, dec, out, msgs, np.arange(B))
-                    out["errors_ok"], out["coverage_ok"] = flags
-                    runs.append(out)
+                    rows = np.arange(B)
+                    runs.append(channel._trials(cb, model, dec, rng, msgs, N, route, rows))
                 for other in runs[1:]:
                     assert other.keys() == runs[0].keys()
                     for key, column in runs[0].items():
@@ -429,13 +427,13 @@ class TestScoreRoutes:
         dec = DecoderConfig("multiplicity_count", epsilon=0.13)
         rng = np.random.default_rng(seed)
         msgs = rng.integers(0, ctx.J, size=B)
+        rows = np.arange(B)
         out = channel._trials(
-            ctx, SequencingErrorModel.none(), dec, rng, msgs, N, "dense"
+            cb, SequencingErrorModel.none(), dec, rng, msgs, N, "dense", rows
         )
         rng = np.random.default_rng(seed)
         rng.integers(0, ctx.J, size=B)
         sampled = ctx.expanded[msgs[:, None], rng.integers(0, M, size=(B, N))]
-        rows = np.arange(B)
         occ0 = np.zeros((B, inner), dtype=bool)
         occ0[rows[:, None], sampled] = True
         assert out["distinct"].tolist() == occ0.sum(axis=1).tolist()
@@ -451,8 +449,7 @@ class TestScoreRoutes:
         gathered = counts0[rows[:, None], padded[msgs]]
         undersampled = ((gathered <= dec.eta * N / M) & mask[msgs]).sum(axis=1)
         coverage_ok = undersampled <= (1.0 - ctx.r0 - 3.0 * dec.epsilon) * M
-        flags = channel._flags(ctx, cb, dec, out, msgs, np.arange(B))
-        assert flags[1].tolist() == coverage_ok.tolist()
+        assert out["coverage_ok"].tolist() == coverage_ok.tolist()
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_forced_route_keeps_single_trials(self, route, monkeypatch):
@@ -554,14 +551,10 @@ class TestScoreRoutes:
         sizes = np.array([len(cw.pairs) for cw in cws])
         assert np.array_equal(ctx.expanded, np.stack([cw.expand() for cw in cws]))
         assert np.array_equal(ctx.support_mask, np.arange(sizes.max()) < sizes[:, None])
-        if (sizes == ctx.M).all():
-            assert ctx.positions is None
-        else:
-            positions = [
-                np.repeat(np.arange(len(cw.pairs)), [m for _, m in cw.pairs])
-                for cw in cws
-            ]
-            assert np.array_equal(ctx.positions, np.stack(positions))
+        positions = [
+            np.repeat(np.arange(len(cw.pairs)), [m for _, m in cw.pairs]) for cw in cws
+        ]
+        assert np.array_equal(ctx.positions, np.stack(positions))
         if ctx.J <= 64:
             held = [sum(1 << j for j, cw in enumerate(cws) if m in cw.support)
                     for m in range(ctx.inner)]
@@ -576,16 +569,16 @@ class TestScoreRoutes:
             assert ctx.inv_idx[ctx.inv_ptr[m] : ctx.inv_ptr[m + 1]].tolist() == holders
 
 
-def cover_runs(ctx, model, dec, seed, B, routes):
+def cover_runs(cb, model, dec, seed, B, routes):
     """(kernel output, next draw of its generator) on each forced route."""
-    return [blocked_runs(ctx, model, dec, seed, B, ctx.N, r, [B])[0] for r in routes]
+    return [blocked_runs(cb, model, dec, seed, B, cb.scaling.N, r, [B])[0] for r in routes]
 
 
 @st.composite
 def wide_support_codebooks(draw):
     """Codebooks of 1-64 codewords with 1 to 64 support positions: index
     codebooks (M = S), or multiset codebooks of M > S molecules whose
-    supports hold 1 to S distinct ones, so the context has positions.
+    supports hold 1 to S distinct ones, so positions differ from indices.
     Codewords may repeat, so the decision ties."""
     J = draw(st.one_of(st.just(64), st.integers(1, 64)))
     S = draw(st.one_of(st.just(64), st.integers(1, 64)))
@@ -612,18 +605,19 @@ def wide_support_codebooks(draw):
     )
 
 
-def assert_draw_cover(ctx, B, p, seed):
+def assert_draw_cover(cb, B, p, seed):
     """The cover route under none and erasure(p), which gathers its words
     from cover_words, against every valid forced score route, with every-row
     and wrong-row diagnostics."""
+    ctx = channel._context(cb)
     for model in (SequencingErrorModel.none(), SequencingErrorModel.erasure(p)):
         for rule in channel.DECODER_RULES:
             assert channel._route(ctx, model, rule, ctx.N) == "cover"
             dec = DecoderConfig(rule, epsilon=0.13)
             routes = ("cover",) + ROUTES
-            assert_same_runs(cover_runs(ctx, model, dec, seed, B, routes), (model, rule))
+            assert_same_runs(cover_runs(cb, model, dec, seed, B, routes), (model, rule))
             wrong_rows = [
-                blocked_runs(ctx, model, dec, seed, B, ctx.N, r, [B], wrong_only=True)[0]
+                blocked_runs(cb, model, dec, seed, B, ctx.N, r, [B], every_row=False)[0]
                 for r in routes
             ]
             assert_same_runs(wrong_rows, (model, rule, "wrong rows"))
@@ -657,7 +651,7 @@ class TestCoverRoute:
             assert channel._route(ctx, model, rule, ctx.N) == "cover"
             dec = DecoderConfig(rule, epsilon=0.13)
             routes = ("cover",) + ROUTES
-            assert_same_runs(cover_runs(ctx, model, dec, seed, B, routes), (model, rule))
+            assert_same_runs(cover_runs(cb, model, dec, seed, B, routes), (model, rule))
 
     def test_erased_and_uncovered_rows(self):
         # 64 codewords over 2 of the 8 molecules of each group, 3 reads:
@@ -669,7 +663,7 @@ class TestCoverRoute:
         B = 2_000
         for rule in channel.DECODER_RULES:
             model, dec = SequencingErrorModel.erasure(0.95), DecoderConfig(rule)
-            runs = cover_runs(ctx, model, dec, 4, B, ("cover",) + ROUTES)
+            runs = cover_runs(cb, model, dec, 4, B, ("cover",) + ROUTES)
             assert_same_runs(runs, rule)
             out = runs[0][0]
             erased = out["errors"] == 3
@@ -683,7 +677,7 @@ class TestCoverRoute:
             SequencingErrorModel.random(0.9),
             SequencingErrorModel.adversarial(0.9, (0, 63)),
         ):
-            runs = cover_runs(ctx, model, dec, 4, B, ("cover",) + ROUTES)
+            runs = cover_runs(cb, model, dec, 4, B, ("cover",) + ROUTES)
             assert_same_runs(runs, model)
         # the random model's reads, drawn in the kernel's order: rows whose
         # cover word is 0 decode to nothing
@@ -693,7 +687,7 @@ class TestCoverRoute:
         replaced = rng.random((B, 3)) < 0.9
         reads = np.where(replaced, rng.integers(0, 64, size=(B, 3)), sampled)
         cover = np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1)
-        out = cover_runs(ctx, SequencingErrorModel.random(0.9), dec, 4, B, ["cover"])[0][0]
+        out = cover_runs(cb, SequencingErrorModel.random(0.9), dec, 4, B, ["cover"])[0][0]
         assert (cover == 0).sum() > B // 2
         assert (out["decoded"][cover == 0] == -1).all()
         assert np.array_equal(out["errors"], (reads != sampled).sum(axis=1))
@@ -734,21 +728,22 @@ class TestCoverRoute:
     def test_draw_words_match_score_routes(self, cb, B, p, seed):
         # the none and erasure models gather each draw's word from
         # cover_words, with index and multiset codebooks
-        assert_draw_cover(channel._Context(cb), B, p, seed)
+        assert_draw_cover(cb, B, p, seed)
 
     def test_sixty_five_positions_match_score_routes(self):
         # more support positions than bits in a word change nothing
         rng = np.random.default_rng(65)
         molecules = rng.integers(0, 2, size=(24, 65)) + np.arange(65) * 2
-        ctx = channel._Context(array_index_codebook(molecules, 130, 40))
+        cb = array_index_codebook(molecules, 130, 40)
         for B, p, seed in ((1, 0.0, 1), (12, 0.5, 2), (300, 0.95, 3)):
-            assert_draw_cover(ctx, B, p, seed)
+            assert_draw_cover(cb, B, p, seed)
 
 
 class TestWrongRowDiagnostics:
-    """The estimator has the kernel count the clean occupancy and errors of
-    its wrong trials only, the single-trial functions of their one trial;
-    every report and outcome is what every-row diagnostics give."""
+    """The estimator has the kernel diagnose its wrong trials only, the
+    single-trial functions their one trial; a row's diagnosis is the same
+    whichever other rows are diagnosed, and every report is what every-row
+    diagnostics give."""
 
     @pytest.mark.parametrize(
         "model,rule,wrong",
@@ -781,32 +776,55 @@ class TestWrongRowDiagnostics:
         kernel = channel._trials
         seen = []
 
-        def every_row(*args, wrong_only):
-            seen.append(wrong_only)
-            return kernel(*args)
+        def every_row(cb, model, dec, rng, msgs, N, route, rows=None):
+            seen.append(rows)
+            return kernel(cb, model, dec, rng, msgs, N, route, np.arange(msgs.size))
 
         monkeypatch.setattr(channel, "_trials", every_row)
         assert estimate_error_probability(cb, model, dec, trials, 8).comparable_dict() == report
-        assert seen == [True, True]
+        assert seen == [None, None]
 
-    def test_kernel_leaves_right_rows_empty(self):
-        cb = cap_codebook()
-        ctx = channel._Context(cb)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cb=small_codebooks(),
+        B=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_any_rows_match_the_every_row_diagnosis(self, cb, B, seed, data):
+        # the diagnosis of any rows, in any order, and the kernel's of its
+        # wrong rows are the every-row diagnosis at those rows, on every
+        # route that decides the case
+        ctx = channel._context(cb)
+        N = ctx.N
+        rows = np.array(data.draw(st.lists(st.integers(0, B - 1), unique=True)), dtype=np.intp)
+        keys = ("distinct", "errors", "errors_ok", "coverage_ok", "cause")
         for model in route_models(ctx.J):
             for rule in channel.DECODER_RULES:
                 dec = DecoderConfig(rule, epsilon=0.13)
-                route = channel._route(ctx, model, rule, ctx.N)
-                (every, after), (wrong, later) = (
-                    blocked_runs(ctx, model, dec, 3, 3_000, ctx.N, route, [700], rows)[0]
-                    for rows in (False, True)
-                )
-                assert after == later
-                right = ~every["wrong"]
-                for key, column in every.items():
-                    if key in ("distinct", "errors"):
-                        assert (wrong[key][right] == 0).all(), (model, rule, key)
-                        column = np.where(right, 0, column)
-                    assert np.array_equal(wrong[key], column), (model, rule, key)
+                routes = ROUTES
+                if channel._route(ctx, model, rule, N) == "cover":
+                    routes += ("cover",)
+                for route in routes:
+                    every, _ = blocked_runs(cb, model, dec, seed, B, N, route, [B])[0]
+                    wrong, _ = blocked_runs(
+                        cb, model, dec, seed, B, N, route, [B], every_row=False
+                    )[0]
+                    rng = np.random.default_rng(seed)
+                    msgs = rng.integers(0, ctx.J, size=B)
+                    draws = channel._draw(ctx, model, rng, msgs, N)
+                    some = channel._diagnose(
+                        ctx, cb, dec, draws, rows, every["wrong"], every["tie"]
+                    )
+                    wrong_rows = np.flatnonzero(every["wrong"])
+                    assert np.array_equal(wrong["rows"], wrong_rows)
+                    assert sorted(some) == sorted(keys)
+                    for key in keys:
+                        what = (model, rule, route, key)
+                        for got, at in ((some[key], rows), (wrong[key], wrong_rows)):
+                            assert got.dtype == every[key].dtype, what
+                            assert np.array_equal(got, every[key][at]), what
+                        assert every[key].shape == (B,), what
 
     def test_run_trial_fills_successful_trials(self):
         # the counts recomputed from the draws, in the kernel's order
@@ -908,10 +926,7 @@ def full_jitter_trials(ctx, cb, model, dec, rng, msgs, N, route):
     rows = np.arange(B)
     sample_idx = rng.integers(0, M, size=(B, N))
     sampled = ctx.expanded[msgs[:, None], sample_idx]
-    if ctx.positions is None:
-        positions = sample_idx
-    else:
-        positions = ctx.positions[msgs[:, None], sample_idx]
+    positions = ctx.positions[msgs[:, None], sample_idx]
     S = ctx.support_mask.shape[1]
     occ0 = np.zeros((B, S), dtype=bool)
     occ0[rows[:, None], positions] = True
@@ -997,26 +1012,21 @@ class TestTieBreak:
                 route = ROUTES[seed % len(ROUTES)]
                 rng = np.random.default_rng(seed)
                 msgs = rng.integers(0, ctx.J, size=B)
-                new = channel._trials(ctx, model, dec, rng, msgs, N, route)
+                new = channel._trials(cb, model, dec, rng, msgs, N, route, rows)
                 rng = np.random.default_rng(seed)
                 rng.integers(0, ctx.J, size=B)
                 old = full_jitter_trials(ctx, cb, model, dec, rng, msgs, N, route)
                 for key in ("tie", "distinct", "errors"):
                     assert np.array_equal(new[key], old[key]), (model, rule, key)
-                flags = channel._flags(ctx, cb, dec, new, msgs, rows)
-                assert np.array_equal(flags[0], old["errors_ok"])
-                assert np.array_equal(flags[1], old["coverage_ok"])
+                assert np.array_equal(new["errors_ok"], old["errors_ok"])
+                assert np.array_equal(new["coverage_ok"], old["coverage_ok"])
                 untied = ~new["tie"]
                 assert np.array_equal(new["decoded"][untied], old["decoded"][untied])
                 scores = old["scores"]
                 top = scores.max(axis=1)
                 assert (scores[rows, new["decoded"]] == top)[new["tie"]].all()
                 # a cause is a function of the flags for rows wrong in both
-                wrong = np.flatnonzero(new["wrong"])
-                cause = np.zeros(B, dtype=np.int8)
-                cause[wrong] = channel._failure_cause(
-                    new["tie"][wrong], *channel._flags(ctx, cb, dec, new, msgs, wrong)
-                )
+                cause = new["cause"]
                 same = new["wrong"] == old["wrong"]
                 assert np.array_equal(cause[same], old["cause"][same])
                 assert (cause[new["wrong"] & new["tie"]] == 4).all()
@@ -1033,22 +1043,24 @@ class TestTieBreak:
         rng = np.random.default_rng(k)
         msgs = np.zeros(trials, dtype=np.int64)
         route = channel.score_route(cb, model, rule)
-        out = channel._trials(ctx, model, DecoderConfig(rule), rng, msgs, 8, route)
+        out = channel._trials(cb, model, DecoderConfig(rule), rng, msgs, 8, route)
         assert out["tie"].all()
         freq = np.bincount(out["decoded"], minlength=k) / trials
         sigma = math.sqrt((1 / k) * (1 - 1 / k) / trials)
         assert np.abs(freq - 1 / k).max() <= 4 * sigma, freq
 
 
-def blocked_runs(ctx, model, dec, seed, B, N, route, block_rows, wrong_only=False):
+def blocked_runs(cb, model, dec, seed, B, N, route, block_rows, every_row=True):
     """(kernel output, next draw of its generator) for each forced count of
-    trials per row block."""
+    trials per row block, diagnosing every trial or, unless every_row, the
+    wrong ones."""
     runs = []
+    diagnosed = np.arange(B) if every_row else None
     for rows in block_rows:
         rng = np.random.default_rng(seed)
-        msgs = rng.integers(0, ctx.J, size=B)
+        msgs = rng.integers(0, len(cb), size=B)
         with mock.patch.object(channel, "_block_rows", lambda *args: rows):
-            out = channel._trials(ctx, model, dec, rng, msgs, N, route, wrong_only)
+            out = channel._trials(cb, model, dec, rng, msgs, N, route, diagnosed)
         runs.append((out, rng.integers(0, 1 << 62)))
     return runs
 
@@ -1133,7 +1145,7 @@ class TestRowBlocks:
             for rule in channel.DECODER_RULES:
                 dec = DecoderConfig(rule, epsilon=0.13)
                 for route in ROUTES:
-                    runs = blocked_runs(ctx, model, dec, seed, B, N, route, block_rows)
+                    runs = blocked_runs(cb, model, dec, seed, B, N, route, block_rows)
                     assert_same_runs(runs, (model, rule, route))
 
     @pytest.mark.parametrize("route", ROUTES + ("cover",))
@@ -1156,7 +1168,7 @@ class TestRowBlocks:
                     if route == "cover" and picked != "cover":
                         continue
                     dec = DecoderConfig(rule, epsilon=0.13)
-                    runs = blocked_runs(ctx, model, dec, 5, 64, ctx.N, route, [64, 1, 5])
+                    runs = blocked_runs(cb, model, dec, 5, 64, ctx.N, route, [64, 1, 5])
                     assert_same_runs(runs, (model, rule))
                     tied += int(runs[0][0]["tie"].sum())
         assert tied > 0

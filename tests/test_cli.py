@@ -426,6 +426,18 @@ class TestSweepCommand:
         assert "12.7" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_p_under_the_none_model_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the none model ignores p, so every swept value, NaN included,
+        # would run one and the same estimate
+        monkeypatch.chdir(tmp_path)
+        argv = ["sweep", "--M", "8", "--inner-size", "32", "--N", "8", "--target-J",
+                "8", "--cap", "7", "--param", "p", "--values", "nan", "--trials", "100"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "none model" in captured.err
+        assert main(argv + ["--out", str(tmp_path / "sweep.json")]) == 2
+        assert os.listdir(tmp_path) == []
+
     def test_needs_values(self, tmp_path):
         rc = main(["sweep", "--param", "p", "--out", str(tmp_path / "x.json")])
         assert rc == 2
@@ -559,3 +571,37 @@ def test_non_finite_values_exit_2(tmp_path, capsys, args, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+BUILD = ["--M", "8", "--inner-size", "32", "--N", "8", "--target-J", "8", "--cap", "7"]
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        (["simulate", *BUILD], {"trials": "abc"}, "trials"),
+        (["sweep", *BUILD, "--model", "erasure"], {"values": "0.5"}, "values"),
+        (["codebook"], {"M": [1]}, "M"),
+    ],
+    ids=["simulate-trials", "sweep-values", "codebook-M"],
+)
+def test_unconvertible_config_values_exit_2(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.json"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {key} ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_null_config_values_take_the_defaults(tmp_path):
+    # JSON null means the key is not given
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None, "workers": None, "trials": None,
+                               "epsilon": None, "model": None}))
+    out = tmp_path / "sim.json"
+    assert main(["simulate", *BUILD, "--config", str(cfg), "--out", str(out)]) == 0
+    resolved = read_json(out)["config"]
+    assert (resolved["seed"], resolved["workers"], resolved["trials"]) == (0, 1, 10_000)
+    assert (resolved["epsilon"], resolved["model"]) == (0.05, "none")
