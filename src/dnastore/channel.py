@@ -42,18 +42,20 @@ is read only by the unique_superset coverage flag and the single-trial
 separation flag, so no other run scans; the context holds no codebook.
 
 The decision takes one of three routes, which ``score_route`` picks from the
-shape, the model and the rule alone.  Up to 64 codewords, the cover route
-decides without scores where the top codewords are those whose support
-covers the observed molecules: under the none and erasure models (every
-kept read comes from the sent codeword, whose score is thus the largest
-under every rule, and a codeword ties it iff it covers them) and for
-unique_superset under every model (its decision is that cover set).  A
-trial's cover word is the AND of one uint64 word per read, bit j set when
-codeword j holds the read's molecule (every bit for an erasure); its
-popcount is the top count, and its lowest set bit the first top codeword.
-Under none and erasure every read is a draw from the sent codeword, so a
-trial gathers its reads' words straight from ``_Context.cover_words``
-through the flat index of each draw, an erased read ORed to the identity.
+shape, the model and the rule alone.  The cover route decides without
+scores where the top codewords are those whose support covers the observed
+molecules: under the none and erasure models (every kept read comes from
+the sent codeword, whose score is thus the largest under every rule, and a
+codeword ties it iff it covers them) and for unique_superset under every
+model (its decision is that cover set).  A trial's cover row is the AND of
+one row of W = ceil(J/64) uint64 words per read, bit j of word w set when
+codeword 64 w + j holds the read's molecule (every codeword's bit for an
+erasure); its popcount is the top count, and its lowest set bit the first
+top codeword.  Under none and erasure every read is a draw from the sent
+codeword, so a trial gathers its reads' rows straight from
+``_Context.cover_words`` through the flat index of each draw, an erased read
+ORed to the identity; or, where that gathers fewer words (erasures at
+W > 1), it gathers and ANDs the rows of its kept reads alone.
 
 Otherwise decoder scores (per trial and codeword, the distinct observed
 molecules the codeword holds, or its reads for multiplicity_count) take one
@@ -79,7 +81,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .balls_bins import _BLOCK_CELLS, _MASK64, DEFAULT_CELL_CAP, LOG_ZERO, _log_comb
+from .balls_bins import _BLOCK_CELLS, DEFAULT_CELL_CAP, LOG_ZERO, _log_comb
 from .balls_bins import chunk_rng, distinct_per_row, map_chunks
 from .codebook import Codebook
 from .errors import CapacityError, DomainError
@@ -261,6 +263,8 @@ class _Context:
         self.J = len(cb)
         if self.J < 1:
             raise DomainError("cannot simulate an empty codebook")
+        # uint64 words of a cover-route row, one bit per codeword
+        self.W = -(-self.J // 64)
         # J x S, S the largest support size: which support positions exist
         self.support_mask = mask = cb.support_mask
         row, col = np.nonzero(mask)
@@ -294,19 +298,22 @@ class _Context:
 
     @functools.cached_property
     def cover_bits(self) -> np.ndarray:
-        """inner + 1 uint64 words of the cover route (J <= 64): bit j of word
-        m is set when codeword j holds molecule m.  The erasure sentinel
-        inner holds every codeword, the identity of the AND."""
-        cover = np.zeros(self.inner + 1, dtype=np.uint64)
-        bits = np.left_shift(np.uint64(1), np.arange(self.J, dtype=np.uint64))
-        np.bitwise_or.at(cover, self.expanded, bits[:, None])
-        cover[self.inner] = _MASK64 >> (64 - self.J)
+        """(inner + 1) x W uint64 words of the cover route: bit j of word w
+        in row m is set when codeword 64 w + j holds molecule m.  The row of
+        the erasure sentinel inner holds every codeword, the identity of the
+        AND; no bit from J on is ever set."""
+        j = np.arange(self.J)
+        bits = np.left_shift(np.uint64(1), (j % 64).astype(np.uint64))
+        cover = np.zeros((self.inner + 1, self.W), dtype=np.uint64)
+        np.bitwise_or.at(cover, (self.expanded, (j // 64)[:, None]), bits[:, None])
+        np.bitwise_or.at(cover[self.inner], j // 64, bits)
         return cover
 
     @functools.cached_property
     def cover_words(self) -> np.ndarray:
-        """J x M uint64 cover_bits of each codeword's molecules (J <= 64)."""
-        return self.cover_bits[self.expanded]
+        """(J M) x W cover_bits of each codeword's molecules, in the order of
+        the J x M tables, so that a draw's flat index is its row."""
+        return self.cover_bits[self.expanded.ravel()]
 
 
 # one context per live codebook; a context must hold no reference to its
@@ -335,15 +342,17 @@ def score_route(
 def _route(ctx, model, rule, n) -> str:
     """score_route on the context, with n reads per trial.
 
-    "cover" decides by cover words, without scores, up to 64 codewords
-    under the none and erasure models (p = 0 counts as none, as in
-    _trials) and for unique_superset under every model.  Otherwise "dense"
-    multiplies by the J x inner support matrix in float32, exact only below
-    2^24 reads, so from there on, or past _DENSE_CELLS cells, the route is
-    "sparse"; so is it when inner * J > _SPARSE_RATIO * _sparse_cells."""
+    "cover" decides by W-word cover rows, without scores, under the none
+    and erasure models (p = 0 counts as none, as in _draw) and for
+    unique_superset under every model, while its tables and one trial's
+    rows hold at most _DENSE_CELLS words.  Otherwise "dense" multiplies by
+    the J x inner support matrix in float32, exact only below 2^24 reads, so
+    from there on, or past _DENSE_CELLS cells, the route is "sparse"; so is
+    it when inner * J > _SPARSE_RATIO * _sparse_cells."""
     kind = "none" if model.p == 0.0 else model.kind
-    if ctx.J <= 64 and (kind in ("none", "erasure") or rule == "unique_superset"):
-        return "cover"
+    if kind in ("none", "erasure") or rule == "unique_superset":
+        if (ctx.inner + 1 + ctx.J * ctx.M + n) * ctx.W <= _DENSE_CELLS:
+            return "cover"
     if n >= 1 << 24 or ctx.J * ctx.inner > _DENSE_CELLS:
         return "sparse"
     cells = _sparse_cells(ctx, model, rule, n)
@@ -408,15 +417,26 @@ def _sparse_cells(ctx, model, rule, n) -> float:
     return n + (lookups + replaced) * ctx.nnz / ctx.inner
 
 
+def _cover_cells(W, n, kept) -> float:
+    """Words the cover route gathers for n reads, kept of them not erased: W
+    a read or, when fewer, the n mask cells scanned and W a kept read, as
+    _decide then compacts the kept reads."""
+    return min(n * W, n + kept * W)
+
+
 def _block_rows(ctx, model, rule, route, n) -> int:
     """Trials per row block of the kernel's stages: those of _BLOCK_CELLS
-    cells, a trial counting its n reads, its J scores and, on the sparse
-    route, its _sparse_cells or, on the dense route, its inner + 1 occupancy
-    cells, whichever is most.  A codebook whose molecules are shared
+    cells.  On the cover route a trial counts its n reads' indices and its
+    _cover_cells; on the score routes the most of its n reads, its J scores
+    and, on the sparse route, its _sparse_cells or, on the dense route, its
+    inner + 1 occupancy cells.  A codebook whose molecules are shared
     unevenly touches more entries than expected (500 codewords sharing 56 of
     64 molecules peak at about 55 MB); only the cap in _scores bounds such a
     block."""
     cells = max(n, ctx.J, ctx.inner + 1 if route == "dense" else 0)
+    if route == "cover":
+        kept = n * (1.0 - model.p) if model.kind == "erasure" else n
+        cells = n + _cover_cells(ctx.W, n, kept)
     if route == "sparse":
         cells = max(cells, _sparse_cells(ctx, model, rule, n))
     return max(1, int(_BLOCK_CELLS // cells))
@@ -492,30 +512,45 @@ def _decide(ctx, route, rule, draws, rows):
     """(n_top, first, top) of the trials rows (a slice) decided on route:
     the count of top codewords (for unique_superset those holding every
     observed molecule), the first of them, and the set a tie-break picks
-    from: the cover word of each row on the cover route (module docstring),
-    else the rows x J at_top matrix of the scores."""
-    if route == "cover" and draws["kind"] in ("none", "erasure"):
-        # each draw's cover word; an erased read's is the identity
-        words = ctx.cover_words.ravel()[_flat(ctx, draws, rows)]
-        if draws["kind"] == "erasure":
-            erased = draws["mask"][rows]
-            words |= np.multiply(erased, ctx.cover_bits[ctx.inner], dtype=np.uint64)
-        top = np.bitwise_and.reduce(words, axis=1)
-    else:
+    from: the rows x W cover row of each trial on the cover route (module
+    docstring), else the rows x J at_top matrix of the scores."""
+    if route != "cover":
         reads = _reads(ctx, draws, rows)[1]
-        if route == "cover":
-            top = np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1)
-    if route == "cover":
-        # the lowest set bit is the count of the bits below it
-        first = np.bitwise_count((top & -top) - np.uint64(1)).astype(np.intp)
-        return np.bitwise_count(top), first, top
-    scores, observed_sizes = _scores(ctx, rule, reads, route)
-    if rule == "unique_superset":
-        top = scores == observed_sizes[:, None]
+        scores, observed_sizes = _scores(ctx, rule, reads, route)
+        if rule == "unique_superset":
+            top = scores == observed_sizes[:, None]
+        else:
+            # scores are never NaN, and fmax reduces faster than max
+            top = scores == np.fmax.reduce(scores, axis=1)[:, None]
+        return np.count_nonzero(top, axis=1), np.argmax(top, axis=1), top
+    kind, identity = draws["kind"], ctx.cover_bits[ctx.inner]
+    if kind in ("none", "erasure"):
+        table, index = ctx.cover_words, _flat(ctx, draws, rows)
     else:
-        # scores are never NaN, and fmax reduces faster than max
-        top = scores == np.fmax.reduce(scores, axis=1)[:, None]
-    return np.count_nonzero(top, axis=1), np.argmax(top, axis=1), top
+        table, index = ctx.cover_bits, _reads(ctx, draws, rows)[1]
+    erased = draws["mask"][rows] if kind == "erasure" else None
+    n = index.shape[1]
+    kept = index.size - (0 if erased is None else np.count_nonzero(erased))
+    if _cover_cells(ctx.W, index.size, kept) < index.size * ctx.W:
+        # AND the kept reads' rows per trial; a reduceat segment ends at the
+        # next start, so only the trials with a kept read take part
+        counts = n - np.count_nonzero(erased, axis=1)
+        words = np.take(table, index[~erased], axis=0)
+        top = np.tile(identity, (counts.size, 1))
+        starts = np.cumsum(counts) - counts
+        top[counts > 0] = np.bitwise_and.reduceat(words, starts[counts > 0], axis=0)
+    else:
+        # each read's row, an erased read's ORed to the identity
+        words = np.take(table, index.ravel(), axis=0)
+        if erased is not None:
+            words |= np.multiply(erased.reshape(-1, 1), identity, dtype=np.uint64)
+        top = np.bitwise_and.reduceat(words, np.arange(0, index.size, n), axis=0)
+    # the first top codeword: 64 per word before the first nonzero one, then
+    # the count of the bits below that word's lowest set bit
+    count = np.bitwise_count(top)
+    low = np.bitwise_count((top & -top) - np.uint64(1)) + 64 * np.arange(ctx.W)
+    first = np.where(count > 0, low, 64 * ctx.W).min(axis=1)
+    return count.sum(axis=1), first, top
 
 
 def _diagnose(ctx, cb, dec, draws, rows, wrong, tie) -> dict:
@@ -598,7 +633,7 @@ def _trials(cb, model, dec, rng, msgs, N, route, rows=None) -> dict:
                 k = rng.integers(0, n_top[tied])
                 top = top[tied]
                 if route == "cover":
-                    top = top.astype("<u8").view(np.uint8).reshape(-1, 8)
+                    top = top.astype("<u8").view(np.uint8).reshape(tied.size, -1)
                     top = np.unpackbits(top, axis=1, bitorder="little")
                 first[tied] = np.argmax(np.cumsum(top, axis=1) > k[:, None], axis=1)
         decoded[blk] = first
@@ -608,7 +643,9 @@ def _trials(cb, model, dec, rng, msgs, N, route, rows=None) -> dict:
         _diagnose(ctx, cb, dec, draws, rows[i : i + step], wrong, tie)
         for i in range(0, max(rows.size, 1), step)
     ]
-    out = {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+    out = parts[0]
+    if len(parts) > 1:
+        out = {key: np.concatenate([part[key] for part in parts]) for key in out}
     out.update(decoded=decoded, wrong=wrong, tie=tie, rows=rows)
     if "cases" in draws:
         a, b = model.attack_pair

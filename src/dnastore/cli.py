@@ -165,7 +165,7 @@ def cmd_exponent(args) -> int:
                 }
             )
     resolved = {"command": "exponent", "c": cs, "delta": deltas, "tol": tol,
-                "seed": _pick(args, config, "seed")}
+                "seed": _pick(args, config, "seed", kind=int)}
     _write_table(
         *_output(args, config),
         f"{SCHEMA_PREFIX}.exponent",
@@ -228,7 +228,7 @@ def cmd_occupancy(args) -> int:
         "M_grid": grid,
         "cell_cap": cell_cap,
         "rounding": "half-up; N clamped to >= 1, K to <= M",
-        "seed": _pick(args, config, "seed"),
+        "seed": _pick(args, config, "seed", kind=int),
     }
     _write_table(
         *_output(args, config),
@@ -252,7 +252,7 @@ def _occupancy_distribution(args, config, M, N, cell_cap) -> int:
         "dist_M": M,
         "dist_N": N,
         "cell_cap": cell_cap,
-        "seed": _pick(args, config, "seed"),
+        "seed": _pick(args, config, "seed", kind=int),
     }
     _write_table(
         *_output(args, config),
@@ -339,8 +339,9 @@ def cmd_codebook(args) -> int:
     seed = _pick(args, config, "seed", 0, int)
     built, resolved, shortfall = _build_codebook(args, config, seed)
     out = _output(args, config, "codebook.json")[0]
-    cbk.save_codebook(built, out)
+    # the scan may refuse the codebook: nothing is written before it
     report = _separation_report(built, resolved.get("cap"))
+    cbk.save_codebook(built, out)
     if shortfall is not None:
         report["shortfall"] = {
             "achieved": shortfall.achieved,

@@ -23,8 +23,8 @@ from itertools import chain
 import numpy as np
 
 from ._files import atomic_open, load_json
-from .balls_bins import _half_up
-from .errors import DomainError, ShortfallError
+from .balls_bins import DEFAULT_CELL_CAP, _half_up
+from .errors import CapacityError, DomainError, ShortfallError
 from .params import ScalingParams
 
 CODEBOOK_FORMAT_VERSION = 1
@@ -168,6 +168,11 @@ class Codebook:
         """(ptr, order): the pairs order[ptr[m]:ptr[m + 1]] of molecules[
         support_mask] hold molecule m, in codeword order; the erasure
         sentinel m = inner_size holds none."""
+        if self.scaling.inner_size + 2 > DEFAULT_CELL_CAP:
+            raise CapacityError(
+                f"an index over {self.scaling.inner_size} molecules is above the "
+                f"cap of {DEFAULT_CELL_CAP} cells"
+            )
         mols = self.molecules[self.support_mask]
         ptr = np.zeros(self.scaling.inner_size + 2, dtype=np.int64)
         np.cumsum(np.bincount(mols, minlength=self.scaling.inner_size + 1), out=ptr[1:])
@@ -252,6 +257,14 @@ def greedy_index_codebook(
         raise DomainError("target_J must be positive")
     if attempt_budget < target_J:
         raise DomainError("attempt_budget must be at least target_J")
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"seed must lie in [0, 2**128): {seed}")
+    # the codewords, and the inverted index over inner that every reader builds
+    if max(target_J * M, inner + 2) > DEFAULT_CELL_CAP:
+        raise CapacityError(
+            f"{target_J} codewords of {M} molecules out of {inner} are above the "
+            f"cap of {DEFAULT_CELL_CAP} cells"
+        )
     group_size = inner // M
     offsets = np.arange(M, dtype=np.int64) * group_size
     effective_cap = min(intersection_cap, M - 1)

@@ -477,12 +477,13 @@ class TestScoreRoutes:
         assert got == expect
 
     def test_route_follows_shape(self):
-        # 65 codewords, one past the cover route
+        # 65 codewords of 8 molecules out of 1,024: the rules that score
+        # replaced reads go sparse
         wide = greedy_index_codebook(
             ScalingParams(M=8, inner_size=1024, N=16, J=65), 3, 65, 1, 10_000
         )
         random = SequencingErrorModel.random(0.5)
-        for rule in channel.DECODER_RULES:
+        for rule in ("distinct_intersection", "multiplicity_count"):
             assert channel.score_route(wide, random, rule) == "sparse"
         # the criterion-11 shape: the models that replace reads take the
         # dense route for the rules that score
@@ -500,17 +501,18 @@ class TestScoreRoutes:
         # a mid-width codebook, 200 codewords of 128 molecules out of 1,024:
         # a trial looks up so many index entries that the product is cheaper
         mid = random_index_codebook(M=128, inner=1024, J=200, N=256)
-        for rule in channel.DECODER_RULES:
+        for rule in ("distinct_intersection", "multiplicity_count"):
             assert channel.score_route(mid, random, rule) == "dense"
-        # 65 codewords of 64 molecules out of 2,048, 256 reads: the distinct
-        # rules look up about 63 molecules a trial, multiplicity_count all
-        # 256 reads (forced routes at 64 codewords: 6.5 against 13.1 us a
-        # trial sparse for distinct_intersection, 10.4 against 13.4 us dense
-        # for multiplicity_count)
+        # 65 codewords of 64 molecules out of 2,048, 256 reads, 1 % of them
+        # replaced: the distinct rules look up about 65 molecules a trial,
+        # multiplicity_count all 256 reads (forced routes at 64 codewords
+        # under the none model: 6.5 against 13.1 us a trial sparse for
+        # distinct_intersection, 10.4 against 13.4 us dense for
+        # multiplicity_count)
         found = random_index_codebook(M=64, inner=2048, J=65, N=256)
-        none = SequencingErrorModel.none()
-        assert channel.score_route(found, none, DIST.rule) == "sparse"
-        assert channel.score_route(found, none, MULT.rule) == "dense"
+        rare = SequencingErrorModel.random(0.01)
+        assert channel.score_route(found, rare, DIST.rule) == "sparse"
+        assert channel.score_route(found, rare, MULT.rule) == "dense"
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("inner", [3, 63, 64])
@@ -533,18 +535,18 @@ class TestScoreRoutes:
 
     def test_dense_route_keeps_to_its_cell_budget(self, monkeypatch):
         # 4,096 two-molecule index codewords out of 8,192 molecules and
-        # 131,072 reads, all of them looked up by multiplicity_count: the
-        # ratio rule alone reads dense, but the J x inner support matrix
-        # would hold 2^25 cells
+        # 131,072 reads, all of them looked up by multiplicity_count, half
+        # of them replaced: the ratio rule alone reads dense, but the J x
+        # inner support matrix would hold 2^25 cells
         k = np.arange(4096)
         cb = array_index_codebook(np.stack([k, 4096 + k], axis=1), 8192, 1 << 17)
-        none = SequencingErrorModel.none()
-        assert channel.score_route(cb, none, MULT.rule) == "sparse"
+        random = SequencingErrorModel.random(0.5)
+        assert channel.score_route(cb, random, MULT.rule) == "sparse"
         monkeypatch.setattr(channel, "_DENSE_CELLS", 1 << 40)
-        assert channel.score_route(cb, none, MULT.rule) == "dense"
+        assert channel.score_route(cb, random, MULT.rule) == "dense"
 
     @settings(max_examples=100, deadline=None)
-    @given(cb=small_codebooks())
+    @given(cb=small_codebooks(sizes=st.one_of(st.integers(1, 6), st.integers(60, 140))))
     def test_context_arrays_match_codewords(self, cb):
         ctx = channel._Context(cb)
         cws = cb.codewords
@@ -555,13 +557,15 @@ class TestScoreRoutes:
             np.repeat(np.arange(len(cw.pairs)), [m for _, m in cw.pairs]) for cw in cws
         ]
         assert np.array_equal(ctx.positions, np.stack(positions))
-        if ctx.J <= 64:
-            held = [sum(1 << j for j, cw in enumerate(cws) if m in cw.support)
-                    for m in range(ctx.inner)]
-            assert ctx.cover_bits.tolist() == held + [(1 << ctx.J) - 1]
-            words = [[held[m] for m in row] for row in ctx.expanded.tolist()]
-            assert ctx.cover_words.dtype == np.uint64
-            assert ctx.cover_words.tolist() == words
+        # the cover rows as integers of J bits, the sentinel's all set, cut
+        # into W words of 64
+        held = [sum(1 << j for j, cw in enumerate(cws) if m in cw.support)
+                for m in range(ctx.inner)] + [(1 << ctx.J) - 1]
+        rows = [[h >> 64 * w & (1 << 64) - 1 for w in range(ctx.W)] for h in held]
+        assert ctx.W == math.ceil(ctx.J / 64)
+        assert ctx.cover_bits.dtype == ctx.cover_words.dtype == np.uint64
+        assert ctx.cover_bits.tolist() == rows
+        assert ctx.cover_words.tolist() == [rows[m] for m in ctx.expanded.ravel().tolist()]
         assert ctx.inv_ptr.shape == (ctx.inner + 2,)
         assert ctx.nnz == sizes.sum() == ctx.inv_ptr[-1]
         for m in range(ctx.inner + 1):
@@ -686,17 +690,15 @@ class TestCoverRoute:
         sampled = ctx.expanded[msgs[:, None], rng.integers(0, 8, size=(B, 3))]
         replaced = rng.random((B, 3)) < 0.9
         reads = np.where(replaced, rng.integers(0, 64, size=(B, 3)), sampled)
-        cover = np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1)
+        uncovered = ~np.bitwise_and.reduce(ctx.cover_bits[reads], axis=1).any(axis=1)
         out = cover_runs(cb, SequencingErrorModel.random(0.9), dec, 4, B, ["cover"])[0][0]
-        assert (cover == 0).sum() > B // 2
-        assert (out["decoded"][cover == 0] == -1).all()
+        assert uncovered.sum() > B // 2
+        assert (out["decoded"][uncovered] == -1).all()
         assert np.array_equal(out["errors"], (reads != sampled).sum(axis=1))
 
     def test_route_rule(self):
-        def codebook_of(J):
-            return random_index_codebook(M=8, inner=64, J=J, N=16)
-
-        at, past = codebook_of(64), codebook_of(65)
+        # the cover route for the none and erasure models and for
+        # unique_superset, below 64 codewords and past them
         pair = (0, 1)
         models = {
             "none": SequencingErrorModel.none(),
@@ -704,19 +706,102 @@ class TestCoverRoute:
             "random": SequencingErrorModel.random(0.5),
             "adversarial": SequencingErrorModel.adversarial(0.5, pair),
         }
+        for J in (2, 64, 65, 500):
+            cb = random_index_codebook(M=8, inner=64, J=J, N=16)
+            for rule in channel.DECODER_RULES:
+                for kind, model in models.items():
+                    covers = kind in ("none", "erasure") or rule == "unique_superset"
+                    assert (channel.score_route(cb, model, rule) == "cover") == covers
+                # p = 0 is the none model, whatever the kind
+                for zero in (
+                    SequencingErrorModel.erasure(0.0),
+                    SequencingErrorModel.random(0.0),
+                    SequencingErrorModel.adversarial(0.0, pair),
+                ):
+                    assert channel.score_route(cb, zero, rule) == "cover"
+
+    def test_cover_tables_keep_to_the_cell_budget(self, monkeypatch):
+        # the cover route holds (inner + 1 + J M) x W table words and one
+        # trial's n x W rows; past _DENSE_CELLS of them it is not taken, and
+        # past J x inner cells neither is the dense route
+        cb = random_index_codebook(M=8, inner=64, J=500, N=12)
+        ctx = channel._context(cb)
+        none = SequencingErrorModel.none()
+        words = (64 + 1 + 500 * 8 + 12) * 8
+        monkeypatch.setattr(channel, "_DENSE_CELLS", words)
+        assert channel.score_route(cb, none, DIST.rule) == "cover"
+        monkeypatch.setattr(channel, "_DENSE_CELLS", words - 1)
+        assert channel.score_route(cb, none, DIST.rule) == "dense"
+        monkeypatch.setattr(channel, "_DENSE_CELLS", 500 * 64 - 1)
+        assert channel.score_route(cb, none, DIST.rule) == "sparse"
+        assert estimate_error_probability(cb, none, DIST, 500, 1).trials == 500
+        assert "cover_bits" not in ctx.__dict__
+        assert "cover_words" not in ctx.__dict__
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.95])
+    @pytest.mark.parametrize("J", [64, 65, 127, 128, 129, 500])
+    def test_wide_covers_match_score_routes(self, J, p):
+        # W = ceil(J / 64) words a row, on either side of each word's end:
+        # every rule under erasure(p), and unique_superset under random, in
+        # one block and in blocks of 37 rows, whose tied rows draw their
+        # tie-breaks across blocks; 4 reads of 8 molecules tie at every p
+        cb = random_index_codebook(M=8, inner=64, J=J, N=4, seed=J)
+        ctx = channel._context(cb)
+        B, tied = 300, 0
+        cases = [(SequencingErrorModel.erasure(p), rule) for rule in channel.DECODER_RULES]
+        cases.append((SequencingErrorModel.random(max(p, 0.5)), "unique_superset"))
+        for model, rule in cases:
+            assert channel._route(ctx, model, rule, ctx.N) == "cover"
+            dec = DecoderConfig(rule, epsilon=0.13)
+            runs = blocked_runs(cb, model, dec, J, B, ctx.N, "cover", [B, 37])
+            for route in ROUTES:
+                runs += blocked_runs(cb, model, dec, J, B, ctx.N, route, [B])
+            assert_same_runs(runs, (model, rule))
+            tied += int(runs[0][0]["tie"].sum())
+            # the decision itself, row by row: the top count, the first top
+            # codeword and the set, with no bit set from J on
+            rng = np.random.default_rng(J)
+            draws = channel._draw(ctx, model, rng, rng.integers(0, J, size=B), ctx.N)
+            n_top, first, top = channel._decide(ctx, "cover", rule, draws, slice(0, B))
+            bits = np.unpackbits(top.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+            assert not bits[:, J:].any()
+            for route in ROUTES:
+                score_n, score_first, at_top = channel._decide(ctx, route, rule, draws, slice(0, B))
+                assert np.array_equal(n_top, score_n), (model, rule, route)
+                assert np.array_equal(bits[:, :J], at_top), (model, rule, route)
+                some = n_top > 0
+                assert np.array_equal(first[some], score_first[some]), (model, rule, route)
+        assert tied > 0
+
+    def test_erased_rows_inside_and_at_the_end_of_a_block(self):
+        # a reduceat segment ends at the next start: a trial whose reads are
+        # all erased, in the middle of a compacted block or as its last
+        # row, must not cut short the words of the trial before it, each of
+        # which keeps two reads of different molecules
+        cb = random_index_codebook(M=8, inner=64, J=500, N=12, seed=3)
+        ctx = channel._context(cb)
+        model = SequencingErrorModel.erasure(0.5)
+        B = 9
+        rng = np.random.default_rng(11)
+        draws = channel._draw(ctx, model, rng, rng.integers(0, ctx.J, size=B), ctx.N)
+        mask, idx = draws["mask"], draws["idx"]
+        mask[[3, 4, B - 2, B - 1]] = True
+        mask[[3, B - 2], 0] = mask[[3, B - 2], -1] = False
+        idx[[3, B - 2], 0], idx[[3, B - 2], -1] = 0, 1
+        kept = mask.size - np.count_nonzero(mask)
+        assert channel._cover_cells(ctx.W, mask.size, kept) < mask.size * ctx.W
         for rule in channel.DECODER_RULES:
-            for kind, model in models.items():
-                covers = kind in ("none", "erasure") or rule == "unique_superset"
-                assert (channel.score_route(at, model, rule) == "cover") == covers
-                assert channel.score_route(past, model, rule) != "cover"
-            # p = 0 is the none model, whatever the kind
-            for zero in (
-                SequencingErrorModel.erasure(0.0),
-                SequencingErrorModel.random(0.0),
-                SequencingErrorModel.adversarial(0.0, pair),
-            ):
-                assert channel.score_route(at, zero, rule) == "cover"
-                assert channel.score_route(past, zero, rule) != "cover"
+            n_top, first, top = channel._decide(ctx, "cover", rule, draws, slice(0, B))
+            bits = np.unpackbits(top.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+            for route in ROUTES:
+                score_n, score_first, at_top = channel._decide(ctx, route, rule, draws, slice(0, B))
+                assert np.array_equal(n_top, score_n), (rule, route)
+                assert np.array_equal(first, score_first), (rule, route)
+                assert np.array_equal(bits[:, : ctx.J], at_top), (rule, route)
+            assert n_top[4] == n_top[B - 1] == ctx.J
+            # the last kept read narrows the set its first read leaves
+            holders = np.count_nonzero(ctx.expanded[:, 0] == ctx.expanded[draws["msgs"][3], 0])
+            assert n_top[3] < holders
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -882,18 +967,19 @@ class TestScoreCapacity:
     def test_shared_molecules_raise_on_index_entries(self, monkeypatch):
         # a trial touches about 35 times its expected index entries, so one
         # 6,000-trial chunk touches 1.1e8 of them, but one row block
-        # (131 trials) only about 2.3 million
+        # (131 trials) only about 2.3 million.  1 % of the reads replaced
+        # keep the decision off the cover route
         cb = shared_molecule_codebook()
-        none = SequencingErrorModel.none()
-        assert channel.score_route(cb, none, DIST.rule) == "sparse"
-        assert estimate_error_probability(cb, none, DIST, 6_000, 1).trials == 6_000
+        rare = SequencingErrorModel.random(0.01)
+        assert channel.score_route(cb, rare, DIST.rule) == "sparse"
+        assert estimate_error_probability(cb, rare, DIST, 6_000, 1).trials == 6_000
         # a block above the cap raises before it lays out its entries,
         # which would take 18 MB
         monkeypatch.setattr(channel, "DEFAULT_CELL_CAP", 1_000_000)
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match="index entries"):
-                estimate_error_probability(cb, none, DIST, 6_000, 1)
+                estimate_error_probability(cb, rare, DIST, 6_000, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1177,12 +1263,12 @@ class TestRowBlocks:
         # the cap counts the scores and index entries of the block it
         # refuses, so the message names that block's rows
         cb = shared_molecule_codebook()
-        none = SequencingErrorModel.none()
+        rare = SequencingErrorModel.random(0.01)
         monkeypatch.setattr(channel, "DEFAULT_CELL_CAP", 1_000_000)
         for rows in (100, 1000):
             with mock.patch.object(channel, "_block_rows", lambda *args: rows):
                 with pytest.raises(CapacityError, match=f"needs {rows} x 500 scores"):
-                    estimate_error_probability(cb, none, DIST, 6_000, 1)
+                    estimate_error_probability(cb, rare, DIST, 6_000, 1)
 
     def test_wide_chunk_memory_is_bounded(self):
         # an index codebook of the mc-wide shape: 500 codewords of 64

@@ -312,9 +312,9 @@ class TestSimulateCommand:
         ) == 0
 
     def test_oversized_codebook_exits_4(self, tmp_path, monkeypatch, capsys):
-        # 500 codewords sharing 56 of their 64 molecules: a row block of
-        # 131 trials touches about 2.3 million index entries, above a cap
-        # lowered to a million cells
+        # 500 codewords sharing 56 of their 64 molecules, 1 % of the reads
+        # replaced: a row block of 131 trials touches about 2.3 million
+        # index entries, above a cap lowered to a million cells
         rows = [[[m, 1] for m in range(56)] + [[56 + 8 * j + k, 1] for k in range(8)]
                 for j in range(500)]
         cb = cbk.codebook_from_dict(
@@ -326,8 +326,8 @@ class TestSimulateCommand:
         cbk.save_codebook(cb, cb_path)
         monkeypatch.setattr(channel, "DEFAULT_CELL_CAP", 1_000_000)
         rc = main(
-            ["simulate", "--codebook", str(cb_path), "--trials", "10000",
-             "--out", str(tmp_path / "sim.json")]
+            ["simulate", "--codebook", str(cb_path), "--model", "random", "--p", "0.01",
+             "--trials", "10000", "--out", str(tmp_path / "sim.json")]
         )
         assert rc == 4
         assert "index entries" in capsys.readouterr().err
@@ -371,25 +371,27 @@ class TestSweepCommand:
 
     def test_score_route_per_value(self, tmp_path):
         out = tmp_path / "sweep.json"
-        # up to 64 codewords, erasures are decided by cover words at every p;
-        # past them, counting reads out of 256 molecules, so few survive
-        # p = 0.9 that the index beats the GEMM (forced routes at 64
-        # codewords: 1.1 against 1.6 us a trial dense at p = 0.05, 1.05
-        # against 1.35 us sparse at p = 0.9)
+        # erasures are decided by cover words at every p and every J; past
+        # them, random substitutions of 65 codewords of 16 molecules out of
+        # 256 send a trial to the index while it looks up few molecules, to
+        # the product once p = 0.9 replaces most reads, and p = 0 is the
+        # error-free model
+        small = ["--M", "8", "--inner-size", "32", "--N", "12", "--target-J", "16"]
+        wide = ["--M", "16", "--inner-size", "256", "--N", "16", "--target-J", "65"]
         cases = (
-            (["--M", "8", "--inner-size", "32", "--N", "12", "--target-J", "16"],
-             "distinct_intersection", ["cover", "cover"]),
-            (["--M", "16", "--inner-size", "256", "--N", "16", "--target-J", "65"],
-             "multiplicity_count", ["dense", "sparse"]),
+            (small, "erasure", "distinct_intersection", ["0.05", "0.9"], ["cover"] * 2),
+            (wide, "erasure", "multiplicity_count", ["0.05", "0.9"], ["cover"] * 2),
+            (wide, "random", "distinct_intersection", ["0.0", "0.05", "0.9"],
+             ["cover", "sparse", "dense"]),
         )
-        for build, rule, routes in cases:
+        for build, model, rule, values, routes in cases:
             cb_path = tmp_path / "cb.json"
             assert main(
                 ["codebook", *build, "--cap", "6", "--seed", "5", "--out", str(cb_path)]
             ) == 0
             assert main(
-                ["sweep", "--codebook", str(cb_path), "--model", "erasure",
-                 "--decoder", rule, "--param", "p", "--values", "0.05", "0.9",
+                ["sweep", "--codebook", str(cb_path), "--model", model,
+                 "--decoder", rule, "--param", "p", "--values", *values,
                  "--trials", "500", "--out", str(out)]
             ) == 0
             assert read_json(out)["metadata"]["score_route"] == routes
@@ -605,3 +607,68 @@ def test_null_config_values_take_the_defaults(tmp_path):
     resolved = read_json(out)["config"]
     assert (resolved["seed"], resolved["workers"], resolved["trials"]) == (0, 1, 10_000)
     assert (resolved["epsilon"], resolved["model"]) == (0.05, "none")
+
+
+TINY = ["--M", "4", "--inner-size", "8", "--N", "4", "--target-J", "4", "--cap", "3"]
+
+
+@pytest.mark.parametrize(
+    "args, rc, message",
+    [
+        (["codebook", *TINY, "--seed", "-1"], 2, "error: seed must lie in"),
+        (["simulate", *TINY, "--trials", "10", "--seed", str(2**130)], 2,
+         "error: seed must lie in"),
+        (["codebook", *TINY[:6], "--target-J", str(10**12), "--cap", "3"], 4,
+         "capacity guard: 1000000000000 codewords"),
+        (["simulate", "--M", "4", "--inner-size", str(2**130), *TINY[4:],
+          "--trials", "10"], 4, "capacity guard: 4 codewords of 4 molecules out of"),
+        (["codebook", "--kind", "repetition", "--t", "0.5", "--M", "4", "--inner-size",
+          str(10**12), "--target-J", "3"], 4, "capacity guard: 3 codewords"),
+    ],
+    ids=["negative-seed", "seed-past-philox-key", "codewords-past-cap",
+         "inner-past-int64", "repetition-inner-past-cap"],
+)
+def test_builds_past_their_seed_or_cap_write_nothing(tmp_path, capsys, args, rc, message):
+    # these ended in a traceback (exit 1), a repetition codebook's file
+    # left behind, before the builder and the index checked them
+    assert main(args + ["--out", str(tmp_path / "out.json")]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_loaded_codebook_past_the_index_cap_exits_4(tmp_path, capsys):
+    # a stored codebook over 10^12 molecules: the inverted index over them
+    # would take 8 TB
+    cb_path = tmp_path / "cb.json"
+    cbk.save_codebook(
+        cbk.codebook_from_dict(
+            {"format_version": 1, "index_based": False, "group_size": None,
+             "scaling": {"M": 2, "inner_size": 10**12, "N": 4, "J": 2},
+             "codewords": [[[0, 1], [1, 1]], [[2, 1], [3, 1]]]}
+        ),
+        cb_path,
+    )
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--codebook", str(cb_path), "--trials", "10",
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("capacity guard: an index over")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["exponent", "--c", "1.5", "--delta", "0.5"],
+     ["occupancy", "--c", "1.5", "--delta", "0.5", "--M-grid", "4"],
+     ["occupancy", "--dist-M", "4", "--dist-N", "6"]],
+    ids=["exponent", "occupancy-convergence", "occupancy-distribution"],
+)
+def test_config_seed_must_be_an_integer(tmp_path, capsys, command):
+    # the echoed seed was copied from the config unread, so a NaN seed
+    # made the report invalid JSON
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": NaN}')
+    out = tmp_path / "out.json"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read seed ")
+    assert os.listdir(tmp_path) == ["cfg.json"]
