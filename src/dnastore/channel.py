@@ -417,10 +417,11 @@ def _sparse_cells(ctx, model, rule, n) -> float:
     return n + (lookups + replaced) * ctx.nnz / ctx.inner
 
 
-def _cover_cells(W, n, kept) -> float:
-    """Words the cover route gathers for n reads, kept of them not erased: W
-    a read or, when fewer, the n mask cells scanned and W a kept read, as
-    _decide then compacts the kept reads."""
+def _cover_cells(W, kind, p, n) -> float:
+    """Words the cover route gathers for a trial's n reads: W a read or,
+    under erasure where fewer, the n mask cells scanned and W for each of
+    the n (1 - p) kept reads, as _decide then compacts them."""
+    kept = n * (1.0 - p) if kind == "erasure" else n
     return min(n * W, n + kept * W)
 
 
@@ -435,8 +436,7 @@ def _block_rows(ctx, model, rule, route, n) -> int:
     block."""
     cells = max(n, ctx.J, ctx.inner + 1 if route == "dense" else 0)
     if route == "cover":
-        kept = n * (1.0 - model.p) if model.kind == "erasure" else n
-        cells = n + _cover_cells(ctx.W, n, kept)
+        cells = n + _cover_cells(ctx.W, model.kind, model.p, n)
     if route == "sparse":
         cells = max(cells, _sparse_cells(ctx, model, rule, n))
     return max(1, int(_BLOCK_CELLS // cells))
@@ -447,10 +447,10 @@ def _draw(ctx, model, rng, msgs, N) -> dict:
     order the module docstring gives; refused with CapacityError before the
     first draw when they number more than DEFAULT_CELL_CAP.  Besides the
     messages "msgs", each is trials x N: "idx", the sampling indices, then
-    the model's ("kind" is "none" at p = 0): the mask "mask", with "repl"
-    for random, or the attack's masks "from_a" and "from_b" and indices
-    "idx_a" and "idx_b" into "targets", and "cases" (0 clean, 1 or 2 from
-    either target) for any attack."""
+    the model's ("kind" is "none" at p = 0, and "p" is its p): the mask
+    "mask", with "repl" for random, or the attack's masks "from_a" and
+    "from_b" and indices "idx_a" and "idx_b" into "targets", and "cases" (0
+    clean, 1 or 2 from either target) for any attack."""
     M, B = ctx.M, msgs.size
     kind = "none" if model.p == 0.0 else model.kind
     if B * N > DEFAULT_CELL_CAP:
@@ -461,7 +461,7 @@ def _draw(ctx, model, rng, msgs, N) -> dict:
         )
     # on Philox and PCG64, int32 draws give the values and the stream of
     # int64 draws, here and for the replacements below
-    draws = {"kind": kind, "msgs": msgs}
+    draws = {"kind": kind, "p": model.p, "msgs": msgs}
     draws["idx"] = rng.integers(0, M, size=(B, N), dtype=np.int32)
     if kind in ("erasure", "random"):
         draws["mask"] = rng.random((B, N)) < model.p
@@ -530,8 +530,7 @@ def _decide(ctx, route, rule, draws, rows):
         table, index = ctx.cover_bits, _reads(ctx, draws, rows)[1]
     erased = draws["mask"][rows] if kind == "erasure" else None
     n = index.shape[1]
-    kept = index.size - (0 if erased is None else np.count_nonzero(erased))
-    if _cover_cells(ctx.W, index.size, kept) < index.size * ctx.W:
+    if _cover_cells(ctx.W, kind, draws["p"], n) < n * ctx.W:
         # AND the kept reads' rows per trial; a reduceat segment ends at the
         # next start, so only the trials with a kept read take part
         counts = n - np.count_nonzero(erased, axis=1)
@@ -548,7 +547,7 @@ def _decide(ctx, route, rule, draws, rows):
     # the first top codeword: 64 per word before the first nonzero one, then
     # the count of the bits below that word's lowest set bit
     count = np.bitwise_count(top)
-    low = np.bitwise_count((top & -top) - np.uint64(1)) + 64 * np.arange(ctx.W)
+    low = np.bitwise_count((top & -top) - np.uint64(1)) + np.arange(0, 64 * ctx.W, 64)
     first = np.where(count > 0, low, 64 * ctx.W).min(axis=1)
     return count.sum(axis=1), first, top
 

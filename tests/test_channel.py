@@ -565,7 +565,8 @@ class TestScoreRoutes:
         assert ctx.W == math.ceil(ctx.J / 64)
         assert ctx.cover_bits.dtype == ctx.cover_words.dtype == np.uint64
         assert ctx.cover_bits.tolist() == rows
-        assert ctx.cover_words.tolist() == [rows[m] for m in ctx.expanded.ravel().tolist()]
+        words = [rows[m] for m in ctx.expanded.ravel().tolist()]
+        assert ctx.cover_words.tolist() == words
         assert ctx.inv_ptr.shape == (ctx.inner + 2,)
         assert ctx.nnz == sizes.sum() == ctx.inv_ptr[-1]
         for m in range(ctx.inner + 1):
@@ -626,6 +627,22 @@ def assert_draw_cover(cb, B, p, seed):
             ]
             assert_same_runs(wrong_rows, (model, rule, "wrong rows"))
     assert "cover_words" in ctx.__dict__
+
+
+def assert_cover_decision(ctx, rule, draws, B, what):
+    """_decide on the cover route against each score route, row by row: the
+    top count, the top set, with no bit set from J on, and the first top
+    codeword of each row that has one.  Returns the top counts."""
+    n_top, first, top = channel._decide(ctx, "cover", rule, draws, slice(B))
+    bits = np.unpackbits(top.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, ctx.J :].any(), what
+    some = n_top > 0
+    for route in ROUTES:
+        counts, firsts, at_top = channel._decide(ctx, route, rule, draws, slice(B))
+        assert np.array_equal(n_top, counts), (what, route)
+        assert np.array_equal(bits[:, : ctx.J], at_top), (what, route)
+        assert np.array_equal(first[some], firsts[some]), (what, route)
+    return n_top
 
 
 class TestCoverRoute:
@@ -748,7 +765,7 @@ class TestCoverRoute:
         cb = random_index_codebook(M=8, inner=64, J=J, N=4, seed=J)
         ctx = channel._context(cb)
         B, tied = 300, 0
-        cases = [(SequencingErrorModel.erasure(p), rule) for rule in channel.DECODER_RULES]
+        cases = [(SequencingErrorModel.erasure(p), r) for r in channel.DECODER_RULES]
         cases.append((SequencingErrorModel.random(max(p, 0.5)), "unique_superset"))
         for model, rule in cases:
             assert channel._route(ctx, model, rule, ctx.N) == "cover"
@@ -758,19 +775,9 @@ class TestCoverRoute:
                 runs += blocked_runs(cb, model, dec, J, B, ctx.N, route, [B])
             assert_same_runs(runs, (model, rule))
             tied += int(runs[0][0]["tie"].sum())
-            # the decision itself, row by row: the top count, the first top
-            # codeword and the set, with no bit set from J on
             rng = np.random.default_rng(J)
             draws = channel._draw(ctx, model, rng, rng.integers(0, J, size=B), ctx.N)
-            n_top, first, top = channel._decide(ctx, "cover", rule, draws, slice(0, B))
-            bits = np.unpackbits(top.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-            assert not bits[:, J:].any()
-            for route in ROUTES:
-                score_n, score_first, at_top = channel._decide(ctx, route, rule, draws, slice(0, B))
-                assert np.array_equal(n_top, score_n), (model, rule, route)
-                assert np.array_equal(bits[:, :J], at_top), (model, rule, route)
-                some = n_top > 0
-                assert np.array_equal(first[some], score_first[some]), (model, rule, route)
+            assert_cover_decision(ctx, rule, draws, B, (model, rule))
         assert tied > 0
 
     def test_erased_rows_inside_and_at_the_end_of_a_block(self):
@@ -788,19 +795,14 @@ class TestCoverRoute:
         mask[[3, 4, B - 2, B - 1]] = True
         mask[[3, B - 2], 0] = mask[[3, B - 2], -1] = False
         idx[[3, B - 2], 0], idx[[3, B - 2], -1] = 0, 1
-        kept = mask.size - np.count_nonzero(mask)
-        assert channel._cover_cells(ctx.W, mask.size, kept) < mask.size * ctx.W
+        assert channel._cover_cells(ctx.W, "erasure", 0.5, ctx.N) < ctx.N * ctx.W
+        # the codewords that hold row 3's first kept molecule
+        first_kept = ctx.expanded[draws["msgs"][3], 0]
+        holders = np.count_nonzero(ctx.expanded[:, 0] == first_kept)
         for rule in channel.DECODER_RULES:
-            n_top, first, top = channel._decide(ctx, "cover", rule, draws, slice(0, B))
-            bits = np.unpackbits(top.astype("<u8").view(np.uint8), axis=1, bitorder="little")
-            for route in ROUTES:
-                score_n, score_first, at_top = channel._decide(ctx, route, rule, draws, slice(0, B))
-                assert np.array_equal(n_top, score_n), (rule, route)
-                assert np.array_equal(first, score_first), (rule, route)
-                assert np.array_equal(bits[:, : ctx.J], at_top), (rule, route)
+            n_top = assert_cover_decision(ctx, rule, draws, B, rule)
             assert n_top[4] == n_top[B - 1] == ctx.J
             # the last kept read narrows the set its first read leaves
-            holders = np.count_nonzero(ctx.expanded[:, 0] == ctx.expanded[draws["msgs"][3], 0])
             assert n_top[3] < holders
 
     @settings(max_examples=60, deadline=None)

@@ -628,7 +628,8 @@ TINY = ["--M", "4", "--inner-size", "8", "--N", "4", "--target-J", "4", "--cap",
     ids=["negative-seed", "seed-past-philox-key", "codewords-past-cap",
          "inner-past-int64", "repetition-inner-past-cap"],
 )
-def test_builds_past_their_seed_or_cap_write_nothing(tmp_path, capsys, args, rc, message):
+def test_builds_past_their_seed_or_cap_write_nothing(tmp_path, capsys, args, rc,
+                                                      message):
     # these ended in a traceback (exit 1), a repetition codebook's file
     # left behind, before the builder and the index checked them
     assert main(args + ["--out", str(tmp_path / "out.json")]) == rc

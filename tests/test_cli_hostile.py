@@ -112,11 +112,12 @@ def argvs(draw, files, in_dir):
             options.pop(name, None)
         else:
             key = name.replace("-", "_")
-            pool = ('"x"', "-1", "0", "null", "[]") if key in SMALL_INTS else HOSTILE_JSON
+            pool = HOSTILE_JSON if key not in SMALL_INTS else ('"x"', "-1", "0", "[]")
             path = os.path.join(in_dir, "config.json")
             with open(path, "w") as fh:
                 fh.write(f'{{"{key}": {draw(st.sampled_from(pool))}}}')
-            options["config"] = draw(st.one_of(st.just(path), st.sampled_from(files["config"])))
+            bad = st.sampled_from(files["config"])
+            options["config"] = draw(st.one_of(st.just(path), bad))
     return [command] + spell(options)
 
 
@@ -188,7 +189,8 @@ def run(argv):
 @seed(0)
 @given(data=st.data())
 def test_hostile_argv(files, data):
-    with tempfile.TemporaryDirectory() as in_dir, tempfile.TemporaryDirectory() as out_dir:
+    with tempfile.TemporaryDirectory() as in_dir, \
+            tempfile.TemporaryDirectory() as out_dir:
         argv = data.draw(argvs(files, in_dir))
         argv.append("--out=" + os.path.join(out_dir, "out"))
         code, err = run(argv)
