@@ -434,9 +434,10 @@ def _block_rows(ctx, model, rule, route, n) -> int:
     unevenly touches more entries than expected (500 codewords sharing 56 of
     64 molecules peak at about 55 MB); only the cap in _scores bounds such a
     block."""
-    cells = max(n, ctx.J, ctx.inner + 1 if route == "dense" else 0)
     if route == "cover":
         cells = n + _cover_cells(ctx.W, model.kind, model.p, n)
+    else:
+        cells = max(n, ctx.J, ctx.inner + 1 if route == "dense" else 0)
     if route == "sparse":
         cells = max(cells, _sparse_cells(ctx, model, rule, n))
     return max(1, int(_BLOCK_CELLS // cells))
