@@ -42,25 +42,30 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=((seed & _MASK64) << 64) | index))
 
 
-def map_chunks(fn, head: tuple, trials: int, chunk: int, workers: int) -> list:
-    """fn(head + (index, size)) for each chunk of trials, in chunk order:
-    chunks of chunk trials, only the last one short, run on a pool of
-    min(workers, chunks) processes when there are several of each."""
+def sum_chunks(fn, head: tuple, trials: int, chunk: int, workers: int):
+    """The sum of fn(head + (index, size)) over chunks of chunk trials, only
+    the last one short.  With width = min(workers, chunks), stripe k adds up
+    chunks k, k + width, k + 2 width, ... as it makes them; width 1 runs in
+    this process, a wider run maps the stripes on a pool of width processes.
+    fn returns integer tallies, whose sum does not depend on the width."""
     if trials < 1 or workers < 1:
         raise DomainError(f"trials ({trials}) and workers ({workers}) must be positive")
-    specs = [
-        head + (index, min(chunk, trials - start))
-        for index, start in enumerate(range(0, trials, chunk))
-    ]
-    if workers > 1 and len(specs) > 1:
-        # imported here, as it loads multiprocessing, which no other run
-        # needs.  One chunk per task: batched chunks leave a worker idle
-        # when the batches do not divide evenly among the workers
-        from concurrent.futures import ProcessPoolExecutor
+    width = min(workers, -(-trials // chunk))
+    stripes = [(fn, head, trials, chunk, k, width) for k in range(width)]
+    if width == 1:
+        return _sum_stripe(stripes[0])
+    # imported here, as it loads multiprocessing, which no other run needs
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
-            return list(pool.map(fn, specs))
-    return [fn(spec) for spec in specs]
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        return sum(pool.map(_sum_stripe, stripes))
+
+
+def _sum_stripe(stripe):
+    """Stripe k of sum_chunks: the sum of fn over chunks k, k + width, ..."""
+    fn, head, trials, chunk, k, width = stripe
+    starts = range(k * chunk, trials, width * chunk)
+    return sum(fn(head + (start // chunk, min(chunk, trials - start))) for start in starts)
 
 
 def _log_sum_exp(values) -> float:
@@ -318,8 +323,7 @@ def sample_distinct_count(
         raise CapacityError(
             f"a sampling row block needs {cells} cells, above the cap {DEFAULT_CELL_CAP}"
         )
-    parts = map_chunks(_sample_chunk, (M, N, rows, seed), trials, _CHUNK_TRIALS, workers)
-    counts = np.sum(parts, axis=0)
+    counts = sum_chunks(_sample_chunk, (M, N, rows, seed), trials, _CHUNK_TRIALS, workers)
     cdf = np.cumsum(counts) / trials
     std_err = np.sqrt(cdf * (1.0 - cdf) / trials)
     return DistinctCountSample(M, N, trials, seed, counts, cdf, std_err)

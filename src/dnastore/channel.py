@@ -6,7 +6,7 @@ decodes.  Trials are pure functions of (codebook, config, seed); the
 Monte-Carlo estimator splits trials into fixed-size chunks whose random
 streams depend only on (master seed, chunk index), so estimates are
 reproducible and independent of the worker count.  The chunks, their
-generators and the worker pool come from ``balls_bins.map_chunks`` and
+generators and the worker pool come from ``balls_bins.sum_chunks`` and
 ``balls_bins.chunk_rng``, which the distinct-count sampler uses too.
 
 One kernel, ``_trials``, runs every trial: the estimator calls it on a chunk
@@ -82,7 +82,7 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .balls_bins import _BLOCK_CELLS, DEFAULT_CELL_CAP, LOG_ZERO, _log_comb
-from .balls_bins import chunk_rng, distinct_per_row, map_chunks
+from .balls_bins import chunk_rng, distinct_per_row, sum_chunks
 from .codebook import Codebook
 from .errors import CapacityError, DomainError
 from .params import ScalingParams
@@ -90,6 +90,7 @@ from .params import ScalingParams
 MODEL_KINDS = ("none", "erasure", "random", "adversarial")
 DECODER_RULES = ("distinct_intersection", "multiplicity_count", "unique_superset")
 FAILURE_CAUSES = ("none", "outage", "collision", "sequencing", "tie")
+ATTACK_STATS = ("pattern_first_half_hits", "bad_events", "bad_event_errors")
 
 _KEY_MASK = (1 << 128) - 1
 
@@ -417,27 +418,28 @@ def _sparse_cells(ctx, model, rule, n) -> float:
     return n + (lookups + replaced) * ctx.nnz / ctx.inner
 
 
-def _cover_cells(W, kind, p, n) -> float:
-    """Words the cover route gathers for a trial's n reads: W a read or,
-    under erasure where fewer, the n mask cells scanned and W for each of
-    the n (1 - p) kept reads, as _decide then compacts them."""
-    kept = n * (1.0 - p) if kind == "erasure" else n
-    return min(n * W, n + kept * W)
+def _compacts(W, kind) -> bool:
+    """Whether _decide ANDs only the kept reads' rows: under erasure (kind as
+    _draw names it) from W = 2 on, where it ran faster at every p timed."""
+    return kind == "erasure" and W > 1
 
 
 def _block_rows(ctx, model, rule, route, n) -> int:
     """Trials per row block of the kernel's stages: those of _BLOCK_CELLS
-    cells.  On the cover route a trial counts its n reads' indices and its
-    _cover_cells; on the score routes the most of its n reads, its J scores
-    and, on the sparse route, its _sparse_cells or, on the dense route, its
-    inner + 1 occupancy cells.  A codebook whose molecules are shared
-    unevenly touches more entries than expected (500 codewords sharing 56 of
-    64 molecules peak at about 55 MB); only the cap in _scores bounds such a
-    block."""
-    if route == "cover":
-        cells = n + _cover_cells(ctx.W, model.kind, model.p, n)
-    else:
+    cells.  On the cover route a trial counts its n reads' indices and the
+    words it gathers: W a read or, where _decide _compacts, its n mask cells
+    and W for each of its n (1 - p) kept reads.  On the score routes it
+    counts the most of its n reads, its J scores and, on the sparse route,
+    its _sparse_cells or, on the dense route, its inner + 1 occupancy cells.
+    A codebook whose molecules are shared unevenly touches more entries than
+    expected (500 codewords sharing 56 of 64 molecules peak at about 55 MB);
+    only the cap in _scores bounds such a block."""
+    if route != "cover":
         cells = max(n, ctx.J, ctx.inner + 1 if route == "dense" else 0)
+    elif _compacts(ctx.W, "none" if model.p == 0.0 else model.kind):
+        cells = 2 * n + n * (1.0 - model.p) * ctx.W
+    else:
+        cells = n + n * ctx.W
     if route == "sparse":
         cells = max(cells, _sparse_cells(ctx, model, rule, n))
     return max(1, int(_BLOCK_CELLS // cells))
@@ -448,10 +450,10 @@ def _draw(ctx, model, rng, msgs, N) -> dict:
     order the module docstring gives; refused with CapacityError before the
     first draw when they number more than DEFAULT_CELL_CAP.  Besides the
     messages "msgs", each is trials x N: "idx", the sampling indices, then
-    the model's ("kind" is "none" at p = 0, and "p" is its p): the mask
-    "mask", with "repl" for random, or the attack's masks "from_a" and
-    "from_b" and indices "idx_a" and "idx_b" into "targets", and "cases" (0
-    clean, 1 or 2 from either target) for any attack."""
+    the model's ("kind" is "none" at p = 0): the mask "mask", with "repl"
+    for random, or the attack's masks "from_a" and "from_b" and indices
+    "idx_a" and "idx_b" into "targets", and "cases" (0 clean, 1 or 2 from
+    either target) for any attack."""
     M, B = ctx.M, msgs.size
     kind = "none" if model.p == 0.0 else model.kind
     if B * N > DEFAULT_CELL_CAP:
@@ -462,7 +464,7 @@ def _draw(ctx, model, rng, msgs, N) -> dict:
         )
     # on Philox and PCG64, int32 draws give the values and the stream of
     # int64 draws, here and for the replacements below
-    draws = {"kind": kind, "p": model.p, "msgs": msgs}
+    draws = {"kind": kind, "msgs": msgs}
     draws["idx"] = rng.integers(0, M, size=(B, N), dtype=np.int32)
     if kind in ("erasure", "random"):
         draws["mask"] = rng.random((B, N)) < model.p
@@ -531,7 +533,7 @@ def _decide(ctx, route, rule, draws, rows):
         table, index = ctx.cover_bits, _reads(ctx, draws, rows)[1]
     erased = draws["mask"][rows] if kind == "erasure" else None
     n = index.shape[1]
-    if _cover_cells(ctx.W, kind, draws["p"], n) < n * ctx.W:
+    if _compacts(ctx.W, kind):
         # AND the kept reads' rows per trial; a reduceat segment ends at the
         # next start, so only the trials with a kept read take part
         counts = n - np.count_nonzero(erased, axis=1)
@@ -738,21 +740,21 @@ def _chunk_size(J: int) -> int:
 
 
 def _estimate_chunk(spec):
-    """Error, cause and attack tallies of one chunk of uniform-message trials."""
+    """One chunk of uniform-message trials: an int64 vector of the count of
+    each of FAILURE_CAUSES, then of ATTACK_STATS (0 unless adversarial)."""
     cb, model, dec, route, master_seed, chunk_index, size = spec
     ctx = _context(cb)
     rng = chunk_rng(master_seed, chunk_index)
     msgs = rng.integers(0, ctx.J, size=size)
     # the kernel diagnoses the wrong trials, whose causes are tallied
     t = _trials(cb, model, dec, rng, msgs, ctx.N, route)
-    errors = int(np.count_nonzero(t["wrong"]))
-    cause_counts = np.bincount(t["cause"], minlength=len(FAILURE_CAUSES))
-    cause_counts[0] = size - errors
-    attack = None
+    causes = np.bincount(t["cause"], minlength=len(FAILURE_CAUSES))
+    causes[0] = size - np.count_nonzero(t["wrong"])
+    attack = (0, 0, 0)
     if "bad" in t:
         bad = t["bad"]
-        attack = int(t["pattern_i"].sum()), int(bad.sum()), int((bad & t["wrong"]).sum())
-    return errors, cause_counts, attack
+        attack = t["pattern_i"].sum(), bad.sum(), (bad & t["wrong"]).sum()
+    return np.concatenate((causes, attack), dtype=np.int64)
 
 
 def estimate_error_probability(
@@ -773,17 +775,10 @@ def estimate_error_probability(
         cb.max_intersection()  # scan once; workers receive it with the codebook
     route = _route(ctx, model, dec.rule, ctx.N)
     head = (cb, model, dec, route, master_seed)
-    parts = map_chunks(_estimate_chunk, head, trials, _chunk_size(ctx.J), workers)
-    errors = sum(p[0] for p in parts)
-    cause_counts = np.sum([p[1] for p in parts], axis=0)
-    attack_stats = None
-    if model.kind == "adversarial":
-        hits, bad, bad_errors = (sum(col) for col in zip(*(p[2] for p in parts)))
-        attack_stats = {
-            "pattern_first_half_hits": hits,
-            "bad_events": bad,
-            "bad_event_errors": bad_errors,
-        }
+    tally = sum_chunks(_estimate_chunk, head, trials, _chunk_size(ctx.J), workers).tolist()
+    causes = dict(zip(FAILURE_CAUSES, tally))
+    attack = dict(zip(ATTACK_STATS, tally[len(FAILURE_CAUSES) :]))
+    errors = trials - causes["none"]
     p_hat = errors / trials
     return SimulationReport(
         trials=trials,
@@ -791,9 +786,9 @@ def estimate_error_probability(
         p_hat=p_hat,
         std_err=math.sqrt(p_hat * (1.0 - p_hat) / trials),
         seed=master_seed,
-        failure_causes=dict(zip(FAILURE_CAUSES, map(int, cause_counts))),
+        failure_causes=causes,
         wall_time_s=time.perf_counter() - start,
-        attack_stats=attack_stats,
+        attack_stats=attack if model.kind == "adversarial" else None,
     )
 
 

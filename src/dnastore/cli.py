@@ -111,17 +111,15 @@ def _write_table(out, fmt, schema, config, header, rows, extra=None, metadata=No
 
 def _dump_json(out, payload):
     with _open_out(out) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(
+            payload, fh, sort_keys=True, indent=2, allow_nan=False, default=_json_default
+        )
         fh.write("\n")
 
 
 def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if value == float("-inf"):
-        return "-inf"
+    if isinstance(value, (np.integer, np.floating)):
+        return value.item()
     raise TypeError(f"not JSON serializable: {value!r}")
 
 

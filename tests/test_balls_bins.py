@@ -23,11 +23,11 @@ from dnastore.balls_bins import (
     distinct_count_dp,
     distinct_per_row,
     empirical_exponent,
-    map_chunks,
     p_occupancy,
     p_via_identity,
     q_surjection,
     sample_distinct_count,
+    sum_chunks,
 )
 from dnastore.codebook import greedy_index_codebook
 from dnastore.errors import CapacityError, DomainError
@@ -231,45 +231,69 @@ class TestIdentityRoute:
             assert log_close(p_via_identity(OccupancyQuery(N=N, M=M, K=K)), expected, 1e-9)
 
 
-def echo(spec):
-    return spec
+def one_hot(spec):
+    """The size of chunk index at its index, in a vector of n."""
+    n, index, size = spec
+    tally = np.zeros(n, dtype=np.int64)
+    tally[index] = size
+    return tally
+
+
+def one_trial(spec):
+    return np.ones(1, dtype=np.int64)
+
+
+class InlinePool:
+    """A stand-in pool that maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
 
 
 class TestChunks:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
-    def test_map_chunks_covers_the_trials_in_order(self, data):
+    def test_sum_chunks_counts_each_chunk_once(self, data):
         chunk = data.draw(st.integers(1, 6))
         trials = data.draw(st.integers(1, 3 * chunk + 5))
-        got = map_chunks(echo, ("head", 7), trials, chunk, 1)
-        assert all(spec[:2] == ("head", 7) for spec in got)
-        assert [spec[2] for spec in got] == list(range(len(got)))
-        sizes = [spec[3] for spec in got]
-        assert sum(sizes) == trials
-        assert set(sizes[:-1]) <= {chunk} and 1 <= sizes[-1] <= chunk
-        assert map_chunks(echo, ("head", 7), trials, chunk, 2) == got
+        n = -(-trials // chunk)
+        sizes = [chunk] * (n - 1) + [trials - (n - 1) * chunk]
+        with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", InlinePool):
+            for workers in (1, 2, 3):
+                tally = sum_chunks(one_hot, (n,), trials, chunk, workers)
+                assert tally.tolist() == sizes
 
     def test_pool_is_no_wider_than_the_chunks(self, monkeypatch):
-        # a stand-in pool that records its width and maps in this process
         widths = []
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                widths.append(max_workers)
+        def recording_pool(max_workers):
+            widths.append(max_workers)
+            return InlinePool(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, specs):
-                return map(fn, specs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        assert map_chunks(echo, (), 20, 10, 64) == map_chunks(echo, (), 20, 10, 1)
-        assert map_chunks(echo, (), 50, 10, 3) == map_chunks(echo, (), 50, 10, 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+        assert sum_chunks(one_hot, (2,), 20, 10, 64).tolist() == [10, 10]
+        assert sum_chunks(one_hot, (5,), 50, 10, 3).tolist() == [10] * 5
         assert widths == [2, 3]
+
+    def test_memory_does_not_grow_with_the_chunks(self):
+        # neither the chunks nor their tallies are listed
+        tracemalloc.start()
+        try:
+            total = sum_chunks(one_trial, (), 200_000, 1, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total.tolist() == [200_000]
+        assert peak < 1 << 20
 
     def test_half_up_names_what_it_cannot_round(self):
         assert balls_bins._half_up(2.5) == 3

@@ -755,7 +755,7 @@ class TestCoverRoute:
         assert "cover_bits" not in ctx.__dict__
         assert "cover_words" not in ctx.__dict__
 
-    @pytest.mark.parametrize("p", [0.0, 0.5, 0.95])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 0.95])
     @pytest.mark.parametrize("J", [64, 65, 127, 128, 129, 500])
     def test_wide_covers_match_score_routes(self, J, p):
         # W = ceil(J / 64) words a row, on either side of each word's end:
@@ -795,7 +795,7 @@ class TestCoverRoute:
         mask[[3, 4, B - 2, B - 1]] = True
         mask[[3, B - 2], 0] = mask[[3, B - 2], -1] = False
         idx[[3, B - 2], 0], idx[[3, B - 2], -1] = 0, 1
-        assert channel._cover_cells(ctx.W, "erasure", 0.5, ctx.N) < ctx.N * ctx.W
+        assert channel._compacts(ctx.W, "erasure")
         # the codewords that hold row 3's first kept molecule
         first_kept = ctx.expanded[draws["msgs"][3], 0]
         holders = np.count_nonzero(ctx.expanded[:, 0] == first_kept)

@@ -450,9 +450,12 @@ class TestAtomicOutput:
         out = tmp_path / "report.json"
         cli._dump_json(out, {"a": 1})
         before = out.read_bytes()
-        # _json_default rejects the value after "a" is written
+        # _json_default rejects an object, and allow_nan=False a non-finite
+        # float, after "a" is written
         with pytest.raises(TypeError):
             cli._dump_json(out, {"a": 2, "b": object()})
+        with pytest.raises(ValueError):
+            cli._dump_json(out, {"a": 2, "x": float("inf")})
         assert out.read_bytes() == before
         assert os.listdir(tmp_path) == ["report.json"]
 
